@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AlphaTooLarge, BudgetExhausted, NotAClique
-from .graph import Graph, bits, complement, mask_of
+from .graph import Graph, bits, complement_adj
 
 # Exact clique search is exponential in the worst case; above this order the
 # pipeline switches to the verified local-search path (see working_clique).
@@ -22,8 +22,7 @@ EXACT_CLIQUE_LIMIT = 150
 
 def find_independent_triple(g: Graph) -> tuple[int, int, int] | None:
     """Some independent 3-set of g, or None.  Triangle scan in the complement."""
-    full = g.vertex_mask
-    cadj = [full & ~(g.adj[v] | (1 << v)) for v in range(g.n)]
+    cadj = complement_adj(g)
     for u in range(g.n):
         for v in bits(cadj[u] >> (u + 1)):
             v += u + 1
@@ -145,14 +144,11 @@ def _mis_size(adj, alive: int, target: int | None = None) -> int:
 def max_clique(g: Graph) -> int:
     """Mask of a maximum clique; ties broken by lexicographically smallest
     vertex set.  Exact (independent-set search in the complement)."""
-    if g.n == 0:
-        return 0
-    full = g.vertex_mask
-    cadj = [full & ~(g.adj[v] | (1 << v)) for v in range(g.n)]
-    omega = _mis_size(cadj, full)
+    cadj = complement_adj(g)
+    omega = clique_number(g)
     chosen = 0
     size = 0
-    cand = full
+    cand = g.vertex_mask
     v = 0
     while size < omega:
         # smallest candidate whose inclusion still completes to omega
@@ -170,11 +166,7 @@ def max_clique(g: Graph) -> int:
 
 def clique_number(g: Graph) -> int:
     """Exact clique number."""
-    if g.n == 0:
-        return 0
-    full = g.vertex_mask
-    cadj = [full & ~(g.adj[v] | (1 << v)) for v in range(g.n)]
-    return _mis_size(cadj, full)
+    return _mis_size(complement_adj(g), g.vertex_mask)
 
 
 # --- heuristic clique for instances beyond the exact wall --------------------
@@ -187,8 +179,7 @@ def large_clique(g: Graph, restarts: int = 12, iters: int = 60000) -> int:
     clique mask found; no maximality certificate.  Fixed seeds make the
     result a pure function of the graph.
     """
-    full = g.vertex_mask
-    cadj = [full & ~(g.adj[v] | (1 << v)) for v in range(g.n)]
+    cadj = complement_adj(g)
     n = g.n
     best_mask = 1 if n else 0
     best_size = 1 if n else 0
@@ -547,8 +538,7 @@ def maximum_matching_size(g: Graph) -> int:
 
 def complement_matching_size(g: Graph) -> int:
     """Size of a maximum matching in the complement of g."""
-    full = g.vertex_mask
-    cadj = [full & ~(g.adj[v] | (1 << v)) for v in range(g.n)]
+    cadj = complement_adj(g)
     return _maximum_matching_size(cadj, g.n)
 
 

@@ -1,5 +1,5 @@
-"""Command-line front end: generation, analysis, pipeline runs, Monte Carlo
-suites and the density-constant optimiser.
+"""Command-line front end: generation, analysis, pipeline runs, the Monte
+Carlo suites of `montecarlo` and the density-constant optimiser.
 
 Machine-readable output is line-delimited JSON with sorted keys; identical
 (command line, seed, input bytes) reproduce identical record bytes.  Wall
@@ -18,11 +18,8 @@ import os
 import sys
 import time
 from fractions import Fraction
-from multiprocessing import get_context
 
-import numpy as np
-
-from . import analysis, bounds, generators, pipeline
+from . import analysis, bounds, generators, montecarlo, pipeline
 from .errors import (
     AlphaTooLarge,
     BudgetExhausted,
@@ -37,16 +34,14 @@ from .errors import (
     UnknownSuite,
     WrongOrder,
 )
-from .graph import Graph, bits, from_text, read_graph, to_text
-from .pairings import chebyshev_bound
-from .rng import trial_rng
+from .graph import bits, read_graph, to_text
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INELIGIBLE = 3
 EXIT_EXHAUSTED = 4
 
-_INPUT_ERRORS = (ParseError, UnknownName, UnknownSuite, FileNotFoundError, ValueError)
+_INPUT_ERRORS = (ParseError, UnknownName, UnknownSuite, OSError, ValueError)
 _INELIGIBLE_ERRORS = (Ineligible, AlphaTooLarge, WrongOrder, TooLarge, NotCertifiable)
 _EXHAUSTED_ERRORS = (RejectionExhausted, NotEnoughEdges, BudgetExhausted)
 
@@ -85,23 +80,14 @@ def _parse_lambda(text: str):
 
 
 def _cmd_gen(args) -> int:
-    if args.named:
-        g = generators.named_graph(args.named, args.order)
-    elif args.family == "tfp":
-        if args.n is None:
-            raise ValueError("--family tfp needs --n")
-        g = generators.triangle_free_process_complement(args.n, trial_rng(args.seed))
-    elif args.family == "c5blowup":
-        if args.t is None:
-            raise ValueError("--family c5blowup needs --t")
-        g = generators.c5_blowup_complement(args.t)
-    elif args.family == "two_clique":
-        if args.sizes is None:
-            raise ValueError("--family two_clique needs --sizes S,T")
-        s, t = (int(x) for x in args.sizes.split(","))
-        g = generators.two_clique_complement(s, t)
-    else:
+    family = "named" if args.named else args.family
+    if family is None:
         raise ValueError("gen needs --family or --named")
+    sizes = tuple(int(x) for x in args.sizes.split(",")) if args.sizes else None
+    spec = generators.GeneratorSpec(
+        family, n=args.n, t=args.t, sizes=sizes, name=args.named, order=args.order, seed=args.seed
+    )
+    g = generators.generate(spec)
     text = to_text(g)
     if args.out:
         with open(args.out, "w") as fh:
@@ -218,209 +204,17 @@ def _cmd_build_minor(args) -> int:
     return EXIT_OK
 
 
-# --- mc suites -------------------------------------------------------------------
-
-
-def _pair_partners(perms: np.ndarray) -> np.ndarray:
-    """partner[i] for each row of permutations paired consecutively."""
-    t, x = perms.shape
-    partner = np.empty_like(perms)
-    rows = np.arange(t)[:, None]
-    partner[rows, perms[:, 0::2]] = perms[:, 1::2]
-    partner[rows, perms[:, 1::2]] = perms[:, 0::2]
-    return partner
-
-
-def _sample_partners(x: int, trials: int, rng) -> np.ndarray:
-    perms = np.tile(np.arange(x), (trials, 1))
-    perms = rng.permuted(perms, axis=1)
-    return _pair_partners(perms)
-
-
-def _mc_pairing_marginals(args) -> list[dict]:
-    x = args.x
-    rng = trial_rng(args.seed, 0)
-    partner = _sample_partners(x, args.trials, rng)
-    est = float(np.mean(partner[:, 0] == 1))
-    target = 1.0 / (x - 1)
-    se = (est * (1 - est) / args.trials) ** 0.5
-    return [
-        {
-            "record": "mc",
-            "suite": "pairing-marginals",
-            "quantity": f"Pr[pair (1,2) in pairing], |X|={x}",
-            "trials": args.trials,
-            "estimate": est,
-            "stderr": se,
-            "bound": target,
-            "pass": bool(abs(est - target) <= 4 * max(se, 1e-12)),
-        }
-    ]
-
-
-def _mc_pairing_joint(args) -> list[dict]:
-    x = args.x
-    rng = trial_rng(args.seed, 0)
-    partner = _sample_partners(x, args.trials, rng)
-    hits = (partner[:, 0] == 1) & (partner[:, 2] == 3)
-    est = float(np.mean(hits))
-    target = 1.0 / ((x - 1) * (x - 3))
-    se = (est * (1 - est) / args.trials) ** 0.5
-    return [
-        {
-            "record": "mc",
-            "suite": "pairing-joint",
-            "quantity": f"Pr[two disjoint pairs in pairing], |X|={x}",
-            "trials": args.trials,
-            "estimate": est,
-            "stderr": se,
-            "bound": target,
-            "pass": bool(abs(est - target) <= 4 * max(se, 1e-12)),
-        }
-    ]
-
-
-def _mc_chebyshev(args) -> list[dict]:
-    records = []
-    stream = 0
-    for x in (20, 50):
-        all_pairs = [(u, v) for u in range(x) for v in range(u + 1, x)]
-        for density in (0.1, 0.25):
-            f_size = max(1, round(density * len(all_pairs)))
-            rng = trial_rng(args.seed, stream)
-            stream += 1
-            chosen = rng.choice(len(all_pairs), size=f_size, replace=False)
-            fmat = np.zeros((x, x), dtype=bool)
-            for idx in chosen:
-                u, v = all_pairs[int(idx)]
-                fmat[u, v] = fmat[v, u] = True
-            perms = np.tile(np.arange(x), (args.trials, 1))
-            perms = rng.permuted(perms, axis=1)
-            counts = fmat[perms[:, 0::2], perms[:, 1::2]].sum(axis=1)
-            mean = f_size / (x - 1)
-            for lam in (2, 5, 10):
-                tail = float(np.mean(np.abs(counts - mean) >= lam))
-                bound = chebyshev_bound(x, lam)
-                records.append(
-                    {
-                        "record": "mc",
-                        "suite": "chebyshev",
-                        "quantity": f"Pr[|count - {mean:.3f}| >= {lam}], |X|={x}, |F|={f_size}",
-                        "trials": args.trials,
-                        "estimate": tail,
-                        "stderr": (tail * (1 - tail) / args.trials) ** 0.5,
-                        "bound": bound,
-                        "pass": bool(tail <= bound),
-                    }
-                )
-    return records
-
-
-def _expectation_instance(task) -> dict:
-    size, seed, trials, policy, max_tries = task
-    g = generators.triangle_free_process_complement(size, trial_rng(seed))
-    cfg = pipeline.PipelineConfig(
-        lambda_policy=policy, seed=seed, mode="strict", max_rejection_tries=max_tries
-    )
-    prep = pipeline.PreparedPipeline(g, cfg)
-    rec = {
-        "record": "mc",
-        "suite": "expectation-bound",
-        "size": size,
-        "instance_seed": seed,
-        "k": prep.k,
-        "strict_ok": prep.report.strict_ok,
-    }
-    if not prep.report.strict_ok:
-        rec["quantity"] = "strict-ineligible instance"
-        rec["pass"] = None
-        return rec
-    results = [prep.run(t) for t in range(trials)]
-    cert = pipeline.certify_batch(results)
-    rec.update(
-        {
-            "quantity": "mean missing edges vs expectation bound",
-            "trials": trials,
-            "estimate": cert.observed,
-            "stderr": cert.stderr,
-            "bound": cert.bound,
-            "pass": cert.status == "PASS",
-            "max_bad_triples": max(r.realized_bad_triples for r in results),
-            "max_bad_quadruples": max(r.realized_bad_quadruples for r in results),
-        }
-    )
-    return rec
-
-
-def _mc_expectation_bound(args) -> list[dict]:
-    sizes = [int(s) for s in args.sizes.split(",")]
-    wanted = args.instances
-    trials_per = max(1, args.trials // wanted)
-    tasks = []
-    seed = args.seed
-    found = 0
-    sweep = 0
-    # sweep instance seeds until enough strict-eligible instances are found
-    while found < wanted and sweep < args.sweep_limit:
-        size = sizes[sweep % len(sizes)]
-        inst_seed = seed + sweep
-        g = generators.triangle_free_process_complement(size, trial_rng(inst_seed))
-        cfg = pipeline.PipelineConfig(lambda_policy="clamped", seed=inst_seed, mode="strict")
-        pre = pipeline.preconditions(g, cfg)
-        if pre.strict_ok:
-            tasks.append((size, inst_seed, trials_per, "clamped", 200))
-            found += 1
-        sweep += 1
-    if not tasks:
-        # explicit fallback: report the absence, then run advisory structural checks
-        records = [
-            {
-                "record": "mc",
-                "suite": "expectation-bound",
-                "quantity": "strict-eligible instance search",
-                "estimate": 0.0,
-                "stderr": 0.0,
-                "bound": float(wanted),
-                "pass": False,
-                "note": "no strict-eligible instance found; advisory structural fallback",
-            }
-        ]
-        g = generators.triangle_free_process_complement(sizes[0], trial_rng(seed))
-        cfg = pipeline.PipelineConfig(lambda_policy="clamped", seed=seed, mode="advisory")
-        res = pipeline.run_pipeline(g, cfg)
-        records.append(
-            {
-                "record": "mc",
-                "suite": "expectation-bound",
-                "quantity": "advisory structural run",
-                "estimate": float(res.missing_edges),
-                "stderr": 0.0,
-                "bound": float("nan"),
-                "pass": res.missing_edges
-                == res.realized_bad_triples + res.realized_bad_quadruples,
-            }
-        )
-        return records
-    if args.jobs > 1:
-        with get_context("fork").Pool(args.jobs) as pool:
-            records = pool.map(_expectation_instance, tasks)
-    else:
-        records = [_expectation_instance(t) for t in tasks]
-    return records
-
-
-_SUITES = {
-    "pairing-marginals": _mc_pairing_marginals,
-    "pairing-joint": _mc_pairing_joint,
-    "chebyshev": _mc_chebyshev,
-    "expectation-bound": _mc_expectation_bound,
-}
-
-
 def _cmd_mc(args) -> int:
-    if args.suite not in _SUITES:
-        raise UnknownSuite(f"unknown suite {args.suite!r}; choose from {sorted(_SUITES)}")
-    records = _SUITES[args.suite](args)
+    records = montecarlo.run_suite(
+        args.suite,
+        x=args.x,
+        trials=args.trials,
+        seed=args.seed,
+        sizes=[int(s) for s in args.sizes.split(",")],
+        instances=args.instances,
+        sweep_limit=args.sweep_limit,
+        jobs=args.jobs,
+    )
     _emit(records, args.format)
     failed = [r for r in records if r.get("pass") is False]
     return EXIT_OK if not failed else EXIT_INELIGIBLE

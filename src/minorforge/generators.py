@@ -136,20 +136,22 @@ class GeneratorSpec:
 
 
 def generate(spec: GeneratorSpec) -> Graph:
+    """Build the instance a spec describes; a missing field raises
+    ValueError naming the command-line option that supplies it."""
     if spec.family == "tfp":
         if spec.n is None:
-            raise ValueError("tfp needs n")
+            raise ValueError("tfp needs --n")
         return triangle_free_process_complement(spec.n, trial_rng(spec.seed))
     if spec.family == "c5blowup":
         if spec.t is None:
-            raise ValueError("c5blowup needs t")
+            raise ValueError("c5blowup needs --t")
         return c5_blowup_complement(spec.t)
     if spec.family == "two_clique":
-        if spec.sizes is None:
-            raise ValueError("two_clique needs sizes")
+        if spec.sizes is None or len(spec.sizes) != 2:
+            raise ValueError("two_clique needs --sizes S,T")
         return two_clique_complement(*spec.sizes)
     if spec.family == "named":
         if spec.name is None:
-            raise ValueError("named needs a name")
+            raise ValueError("named needs --named")
         return named_graph(spec.name, spec.order)
     raise ValueError(f"unknown family {spec.family!r}")

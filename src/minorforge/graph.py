@@ -97,10 +97,15 @@ class Graph:
         return f"Graph(n={self.n}, m={self._m})"
 
 
+def complement_adj(g: Graph) -> list[int]:
+    """Per-vertex non-neighbour masks of g: the complement's adjacency."""
+    full = g.vertex_mask
+    return [full & ~(g.adj[v] | (1 << v)) for v in range(g.n)]
+
+
 def complement(g: Graph) -> Graph:
     """Graph with edge uv exactly when uv is a non-edge of g (u != v)."""
-    full = g.vertex_mask
-    return Graph.from_adj(full & ~(g.adj[v] | (1 << v)) for v in range(g.n))
+    return Graph.from_adj(complement_adj(g))
 
 
 def induced_subgraph(g: Graph, subset: int) -> tuple[Graph, tuple[int, ...]]:
@@ -225,8 +230,9 @@ def verify_minor(g: Graph, h: Graph, d: BranchDecomposition) -> bool:
 # --- text format ------------------------------------------------------------
 #
 # Line `p <n> <m>`, then m lines `e <u> <v>` with 1-based endpoints, u < v,
-# sorted, no duplicates.  Lines starting with `c` are comments.  Writing is
-# bit-exact: equal graphs produce equal bytes.
+# no duplicates.  Lines starting with `c` are comments.  The writer emits the
+# e lines sorted, so equal graphs produce equal bytes; the reader accepts any
+# order.
 
 
 def to_text(g: Graph) -> str:

@@ -67,7 +67,6 @@ class PipelineConfig:
     mode: str = "strict"
     max_rejection_tries: int = 200
     exact_clique_limit: int = EXACT_CLIQUE_LIMIT
-    seagull_budget: int = 5_000_000
 
     def __post_init__(self):
         if self.mode not in ("strict", "advisory"):
@@ -302,7 +301,7 @@ class PreparedPipeline:
                 f"leftover set has {s_mask.bit_count()} vertices, expected {3 * k}"
             )
         g_s, s_map = induced_subgraph(g, s_mask)
-        part = seagull_partition(g_s, budget=self.cfg.seagull_budget)
+        part = seagull_partition(g_s)
         if part is None:
             raise SeagullFailure(
                 "no seagull partition of the leftover vertices; this cannot "
@@ -375,10 +374,6 @@ class PreparedPipeline:
             trial=trial,
             seed=self.cfg.seed,
         )
-
-
-def prepare(g: Graph, cfg: PipelineConfig) -> PreparedPipeline:
-    return PreparedPipeline(g, cfg)
 
 
 def preconditions(g: Graph, cfg: PipelineConfig) -> PreconditionReport:

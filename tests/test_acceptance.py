@@ -8,7 +8,6 @@ realized bad-structure counts of every accumulated run against the closed
 
 import math
 import time
-from argparse import Namespace
 from contextlib import contextmanager
 
 import numpy as np
@@ -27,7 +26,6 @@ from minorforge.bounds import (
     missing_fraction_extremal,
     zeta_monotonicity_check,
 )
-from minorforge.cli import _mc_chebyshev, _sample_partners
 from minorforge.generators import (
     c5_blowup_complement,
     named_graph,
@@ -35,6 +33,7 @@ from minorforge.generators import (
     two_clique_complement,
 )
 from minorforge.graph import verify_minor
+from minorforge.montecarlo import chebyshev, sample_partners
 from minorforge.pipeline import PipelineConfig, PreparedPipeline, certify_batch
 from minorforge.rng import trial_rng
 from minorforge.seagulls import max_disjoint_seagulls_bruteforce, seagull_partition
@@ -75,7 +74,7 @@ def test_01_gamma_reproduction():
 def test_02_pairing_marginals():
     with criterion(2, "pairing marginals at |X|=10", 10.0):
         x, trials = 10, 100_000
-        partner = _sample_partners(x, trials, trial_rng(202))
+        partner = sample_partners(x, trials, trial_rng(202))
         est = float(np.mean(partner[:, 0] == 1))
         se = (est * (1 - est) / trials) ** 0.5
         assert abs(est - 1 / 9) <= 4 * se
@@ -87,7 +86,7 @@ def test_02_pairing_marginals():
 def test_03_exact_distribution_x6():
     with criterion(3, "exact pairing distribution at |X|=6", 30.0):
         trials = 1_000_000
-        partner = _sample_partners(6, trials, trial_rng(303))
+        partner = sample_partners(6, trials, trial_rng(303))
         a = partner[:, 0].astype(np.int64)
         m = 1 + (a == 1)
         pm = partner[np.arange(trials), m].astype(np.int64)
@@ -101,8 +100,7 @@ def test_03_exact_distribution_x6():
 
 def test_04_chebyshev_suite():
     with criterion(4, "Chebyshev tail bound grid", 60.0):
-        args = Namespace(trials=20_000, seed=404)
-        recs = _mc_chebyshev(args)
+        recs = chebyshev(trials=20_000, seed=404)
         assert len(recs) == 12  # |X| in {20,50} x densities {0.1,0.25} x lambda {2,5,10}
         for rec in recs:
             assert rec["estimate"] <= rec["bound"], rec["quantity"]

@@ -282,3 +282,40 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "gamma 0.986882" in proc.stdout
+
+
+def run_module(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "minorforge.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,says",
+    [
+        (("mc", "--suite", "pairing-marginals", "--trials", "0"), "trials"),
+        (("mc", "--suite", "pairing-joint", "--trials", "0"), "trials"),
+        (("mc", "--suite", "chebyshev", "--trials", "0"), "trials"),
+        (("mc", "--suite", "expectation-bound", "--instances", "0"), "instances"),
+        (("mc", "--suite", "pairing-marginals", "--x", "3"), "even ground set"),
+        (("mc", "--suite", "pairing-marginals", "--x", "1"), "even ground set"),
+        (("mc", "--suite", "pairing-joint", "--x", "2"), "at least 4"),
+        (("gen", "--family", "two_clique", "--sizes", "1,2,3"), "needs --sizes"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else v,
+)
+def test_misuse_exits_2_with_one_line(argv, says):
+    proc = run_module(*argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert says in proc.stderr
+
+
+def test_analyze_directory_exits_2(tmp_path):
+    proc = run_module("analyze", str(tmp_path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and proc.stderr.startswith("error: ")

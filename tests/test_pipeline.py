@@ -268,6 +268,6 @@ def test_seagull_failure_is_loud(instance110, monkeypatch):
     import minorforge.pipeline as pl
     from minorforge.errors import SeagullFailure
 
-    monkeypatch.setattr(pl, "seagull_partition", lambda g, budget: None)
+    monkeypatch.setattr(pl, "seagull_partition", lambda g: None)
     with pytest.raises(SeagullFailure):
         pl.run_pipeline(instance110, PipelineConfig(lambda_policy="clamped", seed=1))
