@@ -1,8 +1,10 @@
 """Record bytes pinned by sha256.
 
-The hashes were taken from the `--format records` stdout of the commit
-before the Monte Carlo suites moved out of `cli.py`; moving or simplifying
-code must leave every byte of these outputs unchanged.
+The hashes of CASES were taken from the `--format records` stdout of the
+commit before the Monte Carlo suites moved out of `cli.py`, those of
+FILE_CASES from the commit before the precondition flags and certification
+gate were given one home; moving or simplifying code must leave every byte
+of these outputs unchanged.
 """
 
 import hashlib
@@ -49,6 +51,47 @@ CASES = [
 
 @pytest.mark.parametrize("argv,code,digest", CASES, ids=[" ".join(c[0]) for c in CASES])
 def test_record_bytes_unchanged(capsys, argv, code, digest):
+    assert main([*argv, "--format", "records"]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Graph files written by `gen` into the working directory, so the `input`
+# field of the records is the same relative path on every machine.
+GRAPHS = {
+    "tfp110.txt": ("--family", "tfp", "--n", "110", "--seed", "1"),
+    "tfp200.txt": ("--family", "tfp", "--n", "200", "--seed", "1"),
+    "c5blowup.txt": ("--family", "c5blowup", "--t", "2"),
+}
+
+FILE_CASES = [
+    # exact clique; lambda = n^(2/3) exceeds (k-1)/2, so one flag fails
+    (("build-minor", "tfp110.txt"),
+     0, "d8b6a5120edb8043fa7ba058269fa6669917fb74cacdca262b36c15a79a2702b"),
+    (("build-minor", "tfp110.txt", "--lambda", "clamped", "--trial", "3"),
+     0, "756614521c163f8f14ac98ec6da2080272cf63864a049a1e84e40ca2272ee622"),
+    # lambda^2 <= 2n: no bound, and the gate names that first
+    (("build-minor", "tfp110.txt", "--lambda", "5"),
+     0, "98d44115dabaaf75c7a4e227159e4023b8531cbf978dc49239800351ded3d5e9"),
+    (("build-minor", "tfp110.txt", "--mode", "advisory"),
+     0, "b296342c96617e844dd2ce2a9bf7091ffeb50355a40c15e820bc25b3b52b4979"),
+    # above the exact-clique limit: the local-search clique
+    (("build-minor", "tfp200.txt"),
+     0, "dbff5a8aaa22904d965f0d1ce7d48ccfc8ffadd8dbfb0450af55ddf17380c6fb"),
+    # clique number >= |V|/4: refused before any record is written
+    (("build-minor", "c5blowup.txt"), 3, EMPTY),
+    (("analyze", "tfp110.txt"),
+     0, "23fc5ea9524e24a155e3082ab68afa812fb36173de242a7c29a3aafc8c9829ec"),
+    (("analyze", "tfp200.txt"),
+     0, "0291d2ec406311a9025681f7185b5c4e6bfad4418fa86c42327fd9e6d2ab2ff6"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", FILE_CASES,
+                         ids=[" ".join(c[0]) for c in FILE_CASES])
+def test_file_record_bytes_unchanged(capsys, monkeypatch, tmp_path, argv, code, digest):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", *GRAPHS[argv[1]], "--out", argv[1]]) == 0
     assert main([*argv, "--format", "records"]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
