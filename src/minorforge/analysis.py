@@ -13,11 +13,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AlphaTooLarge, BudgetExhausted, NotAClique
-from .graph import Graph, bits, complement_adj
+from .graph import Graph, bits, complement_adj, complement_edge_count
+from .graph import is_connected_subset, reach_within
 
 # Exact clique search is exponential in the worst case; above this order the
 # pipeline switches to the verified local-search path (see working_clique).
 EXACT_CLIQUE_LIMIT = 150
+
+LOCAL_SEARCH_RESTARTS = 12
+LOCAL_SEARCH_ITERS = 60_000
+
+# enumerate_cliques (and so min_capacity) raises BudgetExhausted beyond this
+# many cliques instead of running on for an exponential time.
+CLIQUE_BUDGET = 1_000_000
 
 
 def find_independent_triple(g: Graph) -> tuple[int, int, int] | None:
@@ -71,17 +79,9 @@ def _components(adj, alive: int) -> list[int]:
     comps = []
     rem = alive
     while rem:
-        start = rem & -rem
-        reached = start
-        frontier = start
-        while frontier:
-            grow = 0
-            for v in bits(frontier):
-                grow |= adj[v]
-            frontier = grow & alive & ~reached
-            reached |= frontier
-        comps.append(reached)
-        rem &= ~reached
+        comp = reach_within(adj, rem & -rem, alive)
+        comps.append(comp)
+        rem &= ~comp
     return comps
 
 
@@ -172,7 +172,7 @@ def clique_number(g: Graph) -> int:
 # --- heuristic clique for instances beyond the exact wall --------------------
 
 
-def large_clique(g: Graph, restarts: int = 12, iters: int = 60000) -> int:
+def large_clique(g: Graph) -> int:
     """Deterministic multi-restart local search for a large clique.
 
     Independent-set (1,2)-swap search in the complement.  Returns the best
@@ -183,7 +183,7 @@ def large_clique(g: Graph, restarts: int = 12, iters: int = 60000) -> int:
     n = g.n
     best_mask = 1 if n else 0
     best_size = 1 if n else 0
-    for seed in range(restarts):
+    for seed in range(LOCAL_SEARCH_RESTARTS):
         rnd = random.Random((0x5EA9 << 16) | seed)
         cur = 0
         forb = 0
@@ -196,7 +196,7 @@ def large_clique(g: Graph, restarts: int = 12, iters: int = 60000) -> int:
         cursize = cur.bit_count()
         if cursize > best_size:
             best_size, best_mask = cursize, cur
-        for _ in range(iters):
+        for _ in range(LOCAL_SEARCH_ITERS):
             v = rnd.randrange(n)
             if (cur >> v) & 1:
                 continue
@@ -217,10 +217,10 @@ def large_clique(g: Graph, restarts: int = 12, iters: int = 60000) -> int:
     return best_mask
 
 
-def working_clique(g: Graph, exact_limit: int = EXACT_CLIQUE_LIMIT) -> tuple[int, str]:
-    """Clique the pipeline builds around: exact search up to exact_limit
+def working_clique(g: Graph) -> tuple[int, str]:
+    """Clique the pipeline builds around: exact search up to EXACT_CLIQUE_LIMIT
     vertices, verified local search beyond.  Returns (mask, method)."""
-    if g.n <= exact_limit:
+    if g.n <= EXACT_CLIQUE_LIMIT:
         return max_clique(g), "exact"
     return large_clique(g), "local_search"
 
@@ -246,15 +246,9 @@ class CliqueStats:
 def clique_stats(g: Graph, z: int) -> CliqueStats:
     if not is_clique(g, z):
         raise NotAClique(f"vertex set {sorted(bits(z))} is not a clique")
-    full = g.vertex_mask
-    k = z.bit_count()
     a = sum(g.n - 1 - g.degree(v) for v in bits(z))
-    b = 0
-    outside = full & ~z
-    for v in bits(outside):
-        nonnb = outside & ~(g.adj[v] | (1 << v))
-        b += (nonnb & ~((1 << (v + 1)) - 1)).bit_count()
-    return CliqueStats(clique=z, k=k, a=a, b=b)
+    b = complement_edge_count(g, g.vertex_mask & ~z)
+    return CliqueStats(clique=z, k=z.bit_count(), a=a, b=b)
 
 
 def capacity(g: Graph, c: int) -> Fraction:
@@ -271,10 +265,10 @@ def capacity(g: Graph, c: int) -> Fraction:
     return Fraction(outside.bit_count() + x, 2)
 
 
-def enumerate_cliques(g: Graph, budget: int = 1_000_000):
+def enumerate_cliques(g: Graph):
     """Yield every nonempty clique mask (lexicographic order of vertex sets).
 
-    Raises BudgetExhausted when more than `budget` cliques would be emitted.
+    Raises BudgetExhausted when more than CLIQUE_BUDGET cliques would be emitted.
     """
     count = 0
 
@@ -286,19 +280,19 @@ def enumerate_cliques(g: Graph, budget: int = 1_000_000):
             c &= c - 1
             new = base | (1 << v)
             count += 1
-            if count > budget:
-                raise BudgetExhausted(f"more than {budget} cliques")
+            if count > CLIQUE_BUDGET:
+                raise BudgetExhausted(f"more than {CLIQUE_BUDGET} cliques")
             yield new
             yield from rec(new, cand & g.adj[v] & ~((1 << (v + 1)) - 1))
 
     yield from rec(0, g.vertex_mask)
 
 
-def min_capacity(g: Graph, budget: int = 1_000_000) -> tuple[Fraction, int]:
+def min_capacity(g: Graph) -> tuple[Fraction, int]:
     """Exact minimum capacity over all nonempty cliques, with a witness."""
     best = None
     witness = 0
-    for c in enumerate_cliques(g, budget=budget):
+    for c in enumerate_cliques(g):
         cap = capacity(g, c)
         if best is None or cap < best:
             best, witness = cap, c
@@ -558,8 +552,6 @@ def is_five_wheel(g: Graph) -> bool:
     for v in bits(rim):
         if (g.adj[v] & rim).bit_count() != 2:
             return False
-    from .graph import is_connected_subset
-
     return is_connected_subset(g, rim)
 
 
@@ -599,7 +591,7 @@ class SeagullConditionReport:
         )
 
 
-def seagull_conditions(g: Graph, k: int, clique_budget: int = 1_000_000) -> SeagullConditionReport:
+def seagull_conditions(g: Graph, k: int) -> SeagullConditionReport:
     """Evaluate all five packing conditions for parameter k; no silent
     short-circuits.  Requires alpha(g) <= 2."""
     if k < 0:
@@ -617,7 +609,7 @@ def seagull_conditions(g: Graph, k: int, clique_budget: int = 1_000_000) -> Seag
     if Fraction(g.n - omega_ub, 2) >= k:
         cond_capacity = True
     else:
-        min_cap, cap_witness = min_capacity(g, budget=clique_budget)
+        min_cap, cap_witness = min_capacity(g)
         cond_capacity = min_cap >= k
         if cond_capacity:
             cap_witness = None

@@ -34,7 +34,7 @@ from .errors import (
     UnknownSuite,
     WrongOrder,
 )
-from .graph import bits, read_graph, to_text
+from .graph import bits, from_text, to_text
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -62,9 +62,11 @@ def _emit(records: list[dict], fmt: str, out=None) -> None:
             out.write("\n")
 
 
-def _sha256_file(path: str) -> str:
+def _read_input(path: str):
+    """The graph in the file and the sha256 of the same bytes, read once."""
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        data = fh.read()
+    return from_text(data.decode()), hashlib.sha256(data).hexdigest()
 
 
 def _parse_lambda(text: str):
@@ -101,11 +103,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    g = read_graph(args.graph)
+    g, digest = _read_input(args.graph)
     triple = analysis.find_independent_triple(g)
     if triple is not None:
         raise AlphaTooLarge(f"independent triple {triple}: analysis targets alpha <= 2")
-    clique, method = analysis.working_clique(g, args.exact_clique_limit)
+    clique, method = analysis.working_clique(g)
     stats = analysis.clique_stats(g, clique)
     k = stats.k
     connected = analysis.is_k_connected(g, k)
@@ -120,7 +122,7 @@ def _cmd_analyze(args) -> int:
     rec = {
         "record": "analysis",
         "input": args.graph,
-        "input_sha256": _sha256_file(args.graph),
+        "input_sha256": digest,
         "n": g.n,
         "m": g.edge_count,
         "alpha_le_2": True,
@@ -144,13 +146,12 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_build_minor(args) -> int:
-    g = read_graph(args.graph)
+    g, digest = _read_input(args.graph)
     cfg = pipeline.PipelineConfig(
         lambda_policy=_parse_lambda(args.lam),
         seed=args.seed,
         mode=args.mode,
         max_rejection_tries=args.max_tries,
-        exact_clique_limit=args.exact_clique_limit,
     )
     t0 = time.monotonic()
     result = pipeline.run_pipeline(g, cfg, trial=args.trial)
@@ -173,7 +174,7 @@ def _cmd_build_minor(args) -> int:
     rec = {
         "record": "build-minor",
         "input": args.graph,
-        "input_sha256": _sha256_file(args.graph),
+        "input_sha256": digest,
         "seed": args.seed,
         "trial": args.trial,
         "mode": args.mode,
@@ -263,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="structural report for a graph file")
     common(p_an)
     p_an.add_argument("graph")
-    p_an.add_argument("--exact-clique-limit", type=int, default=analysis.EXACT_CLIQUE_LIMIT)
 
     p_bm = sub.add_parser("build-minor", help="run the construction once")
     common(p_bm)
@@ -273,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bm.add_argument("--mode", choices=("strict", "advisory"), default="strict")
     p_bm.add_argument("--trial", type=int, default=0)
     p_bm.add_argument("--max-tries", type=int, default=200)
-    p_bm.add_argument("--exact-clique-limit", type=int, default=analysis.EXACT_CLIQUE_LIMIT)
     p_bm.add_argument("--out-h", help="write the minor graph file here")
     p_bm.add_argument("--out-branches", help="write the branch map here")
 

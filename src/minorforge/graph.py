@@ -124,20 +124,30 @@ def induced_subgraph(g: Graph, subset: int) -> tuple[Graph, tuple[int, ...]]:
     return Graph.from_adj(adj), old
 
 
-def is_connected_subset(g: Graph, subset: int) -> bool:
-    """True when the subgraph induced on a nonempty vertex mask is connected."""
-    if not subset:
-        return False
-    start = subset & -subset
-    reached = start
-    frontier = start
+def complement_edge_count(g: Graph, subset: int) -> int:
+    """Number of non-adjacent pairs of distinct vertices inside a mask."""
+    total = 0
+    for v in bits(subset):
+        total += ((subset & ~g.adj[v]) >> (v + 1)).bit_count()
+    return total
+
+
+def reach_within(adj, start: int, subset: int) -> int:
+    """Vertices of `subset` reachable from the mask `start` (inside it)
+    along paths that stay in `subset`; adj[v] is v's neighbour mask."""
+    reached = frontier = start
     while frontier:
         grow = 0
         for v in bits(frontier):
-            grow |= g.adj[v]
+            grow |= adj[v]
         frontier = grow & subset & ~reached
         reached |= frontier
-    return reached == subset
+    return reached
+
+
+def is_connected_subset(g: Graph, subset: int) -> bool:
+    """True when the subgraph induced on a nonempty vertex mask is connected."""
+    return bool(subset) and reach_within(g.adj, subset & -subset, subset) == subset
 
 
 @dataclass(frozen=True)
@@ -234,6 +244,11 @@ def verify_minor(g: Graph, h: Graph, d: BranchDecomposition) -> bool:
 # e lines sorted, so equal graphs produce equal bytes; the reader accepts any
 # order.
 
+# Largest order the reader accepts.  Each vertex's adjacency is an n-bit int,
+# so a graph of order n takes up to n^2/8 bytes (128 MiB at this order); a
+# larger header is refused before anything is allocated.
+MAX_ORDER = 1 << 15
+
 
 def to_text(g: Graph) -> str:
     lines = [f"p {g.n} {g.edge_count}"]
@@ -262,6 +277,8 @@ def from_text(text: str) -> Graph:
                 raise ParseError(f"line {lineno}: non-integer p fields") from None
             if n < 0 or m < 0:
                 raise ParseError(f"line {lineno}: negative count")
+            if n > MAX_ORDER:
+                raise ParseError(f"line {lineno}: order {n} exceeds the limit {MAX_ORDER}")
         elif fields[0] == "e":
             if n is None:
                 raise ParseError(f"line {lineno}: e line before p line")

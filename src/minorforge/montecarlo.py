@@ -14,7 +14,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from . import generators, pipeline
-from .errors import UnknownSuite
+from .errors import Ineligible, UnknownSuite
 from .pairings import chebyshev_bound
 from .rng import trial_rng
 
@@ -114,17 +114,24 @@ def _instance_record(prep: pipeline.PreparedPipeline, trials: int) -> dict:
 
 def _no_eligible_instance(size: int, instances: int, seed: int) -> list[dict]:
     """Report the absence of eligible instances, then run one advisory
-    construction as a structural check."""
+    construction as a structural check; a refusal of that graph is a failed
+    structural run."""
     g = generators.triangle_free_process_complement(size, trial_rng(seed))
     cfg = pipeline.PipelineConfig(lambda_policy="clamped", seed=seed, mode="advisory")
-    res = pipeline.run_pipeline(g, cfg)
-    accounted = res.missing_edges == res.realized_bad_triples + res.realized_bad_quadruples
+    try:
+        res = pipeline.run_pipeline(g, cfg)
+    except Ineligible as exc:
+        run = _record("expectation-bound", "advisory structural run", float("nan"), 0.0,
+                      float("nan"), False, note=f"refused: {exc}")
+    else:
+        accounted = res.missing_edges == res.realized_bad_triples + res.realized_bad_quadruples
+        run = _record("expectation-bound", "advisory structural run", float(res.missing_edges),
+                      0.0, float("nan"), accounted)
     return [
         _record("expectation-bound", "strict-eligible instance search", 0.0, 0.0,
                 float(instances), False,
                 note="no strict-eligible instance found; advisory structural fallback"),
-        _record("expectation-bound", "advisory structural run", float(res.missing_edges),
-                0.0, float("nan"), accounted),
+        run,
     ]
 
 
@@ -160,11 +167,17 @@ def expectation_bound(
     """
     if instances < 1:
         raise ValueError(f"instances must be at least 1, got {instances}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if any(s < 6 or s % 2 for s in sizes):
+        raise ValueError(f"sizes must be even and at least 6 to be strict-eligible, got {sizes}")
     eligible = _eligible_instances(sizes, instances, seed, sweep_limit)
     run = partial(_instance_record, trials=max(1, trials // instances))
     if jobs > 1:
+        eligible = list(eligible)
+    if jobs > 1 and eligible:
         with get_context("fork").Pool(jobs) as pool:
-            records = pool.map(run, list(eligible))
+            records = pool.map(run, eligible)
     else:
         records = [run(prep) for prep in eligible]
     return records or _no_eligible_instance(sizes[0], instances, seed)

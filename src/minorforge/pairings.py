@@ -89,14 +89,6 @@ def pairing_edge_count(m: Pairing, g: Graph) -> int:
     return sum(1 for u, v in m.pairs if g.has_edge(u, v))
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    return Fraction(value)  # floats convert exactly
-
-
 def in_concentration_event(m: Pairing, g: Graph, lam) -> bool:
     """|M intersect E(g)| >= |E(g)|/(x-1) - lambda, compared in exact rationals."""
     if m.ground_size != g.n:
@@ -105,7 +97,7 @@ def in_concentration_event(m: Pairing, g: Graph, lam) -> bool:
     if x < 2:
         return True
     lhs = Fraction(pairing_edge_count(m, g))
-    rhs = Fraction(g.edge_count, x - 1) - _as_fraction(lam)
+    rhs = Fraction(g.edge_count, x - 1) - Fraction(lam)
     return lhs >= rhs
 
 
@@ -117,7 +109,7 @@ def sample_conditioned(
     Output is exactly uniform on the event.  Raises RejectionExhausted after
     max_tries misses (the event is too small for this lambda).
     """
-    lam_f = _as_fraction(lam)
+    lam_f = Fraction(lam)
     if lam_f <= 0:
         raise ValueError("lambda must be positive")
     for _ in range(max_tries):

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .analysis import (
-    EXACT_CLIQUE_LIMIT,
-    clique_stats,
-    find_independent_triple,
-    working_clique,
-)
+from .analysis import clique_stats, find_independent_triple, working_clique
 from .bounds import BoundReport, compute_bound_report
 from .errors import (
     AlphaTooLarge,
@@ -66,7 +61,6 @@ class PipelineConfig:
     seed: int = 0
     mode: str = "strict"
     max_rejection_tries: int = 200
-    exact_clique_limit: int = EXACT_CLIQUE_LIMIT
 
     def __post_init__(self):
         if self.mode not in ("strict", "advisory"):
@@ -104,17 +98,24 @@ class PreconditionReport:
     mode: str
     clique_method: str
 
+    FLAGS = (
+        "order_even_ge6",
+        "alpha_le_2",
+        "clique_below_quarter",
+        "lambda_le_half_k_minus_1",
+        "lambda_sq_gt_2n",
+        "matching_count_nonneg",
+        "complement_degree_le_k",
+    )
+
+    @property
+    def failed_flags(self) -> tuple[str, ...]:
+        """Names of the hypothesis flags that fail, in FLAGS order."""
+        return tuple(name for name in self.FLAGS if not getattr(self, name))
+
     @property
     def strict_ok(self) -> bool:
-        return (
-            self.order_even_ge6
-            and self.alpha_le_2
-            and self.clique_below_quarter
-            and self.lambda_le_half_k_minus_1
-            and self.lambda_sq_gt_2n
-            and self.matching_count_nonneg
-            and self.complement_degree_le_k
-        )
+        return not self.failed_flags
 
 
 @dataclass(frozen=True)
@@ -213,22 +214,19 @@ class PreparedPipeline:
     def __init__(self, g: Graph, cfg: PipelineConfig):
         self.g = g
         self.cfg = cfg
-        self.clique, self.clique_method = working_clique(g, cfg.exact_clique_limit)
+        self.clique, self.clique_method = working_clique(g)
         self.stats = clique_stats(g, self.clique)
         self.k = self.stats.k
         self.n = g.n // 2
         self.g_prime, self.idx_map, self.deleted_vertex = strip_clique(g, self.clique)
         self.x = self.g_prime.n
-        try:
-            self.lam = resolve_lambda(cfg.lambda_policy, self.n, self.k)
-        except ZeroDivisionError:  # k <= 1 cannot happen for eligible inputs
-            self.lam = Fraction(0)
-        self.alpha_ok = find_independent_triple(g) is None
+        self.lam = resolve_lambda(cfg.lambda_policy, self.n, self.k)
+        self.bound = compute_bound_report(self.n, self.k, self.stats.a, self.stats.b, self.lam)
+        self.triple = find_independent_triple(g)
         max_nonnb = max((g.n - 1 - g.degree(v) for v in range(g.n)), default=0)
-        lamf = float(self.lam)
         self.report = PreconditionReport(
             order_even_ge6=(g.n % 2 == 0 and g.n >= 6),
-            alpha_le_2=self.alpha_ok,
+            alpha_le_2=self.triple is None,
             clique_below_quarter=(4 * self.k < g.n),
             lambda_le_half_k_minus_1=(0 < self.lam <= Fraction(self.k - 1, 2)),
             lambda_sq_gt_2n=(self.lam * self.lam > 2 * self.n),
@@ -237,19 +235,18 @@ class PreparedPipeline:
             n=self.n,
             k=self.k,
             x=self.x,
-            lam=lamf,
-            q=1.0 - 2.0 * self.n / (lamf * lamf) if lamf > 0 else float("-inf"),
+            lam=self.bound.lam,
+            q=self.bound.q,
             mode=cfg.mode,
             clique_method=self.clique_method,
         )
-        self.bound = compute_bound_report(self.n, self.k, self.stats.a, self.stats.b, lamf)
 
     def check_eligibility(self) -> None:
         r = self.report
         if not r.order_even_ge6:
             raise Ineligible(f"|V| = {self.g.n} must be even and at least 6")
         if not r.alpha_le_2:
-            raise AlphaTooLarge(f"independent triple {find_independent_triple(self.g)}")
+            raise AlphaTooLarge(f"independent triple {self.triple}")
         if not r.clique_below_quarter:
             raise Ineligible(
                 f"clique number {self.k} >= |V|/4 = {self.g.n / 4}: a complete "
@@ -390,36 +387,27 @@ def run_batch(g: Graph, cfg: PipelineConfig, trials: int) -> list[PipelineResult
     return [prep.run(t) for t in range(trials)]
 
 
-def _gate_certification(pre: PreconditionReport) -> None:
+def _certified_bound(result: PipelineResult) -> float:
+    """The expectation bound a strict run is certified against; raises
+    NotCertifiable with the first reason the bound does not apply."""
+    pre = result.preconditions
     if pre.mode != "strict":
         raise NotCertifiable("advisory mode carries no expectation certificate")
     if not pre.lambda_sq_gt_2n:
         raise NotCertifiable("lambda^2 <= 2n")
-    if not pre.strict_ok:
-        failed = [
-            name
-            for name in (
-                "order_even_ge6",
-                "alpha_le_2",
-                "clique_below_quarter",
-                "lambda_le_half_k_minus_1",
-                "matching_count_nonneg",
-                "complement_degree_le_k",
-            )
-            if not getattr(pre, name)
-        ]
-        raise NotCertifiable(f"hypothesis flags failed: {', '.join(failed)}")
+    if pre.failed_flags:
+        raise NotCertifiable(f"hypothesis flags failed: {', '.join(pre.failed_flags)}")
+    if result.bound.missing_bound is None:
+        raise NotCertifiable("bound undefined for these parameters")
+    return result.bound.missing_bound
 
 
 def certify(result: PipelineResult) -> Certificate:
     """Single-run certificate: the bound applies to an expectation, so one
     run is only a sample, never PASS/FAIL."""
-    _gate_certification(result.preconditions)
-    if result.bound.missing_bound is None:
-        raise NotCertifiable("bound undefined for these parameters")
     return Certificate(
         status="sample",
-        bound=result.bound.missing_bound,
+        bound=_certified_bound(result),
         observed=float(result.missing_edges),
         trials=1,
         stderr=float("nan"),
@@ -431,11 +419,7 @@ def certify_batch(results: list[PipelineResult]) -> Certificate:
     within three standard errors."""
     if not results:
         raise NotCertifiable("empty batch")
-    pre = results[0].preconditions
-    _gate_certification(pre)
-    bound = results[0].bound.missing_bound
-    if bound is None:
-        raise NotCertifiable("bound undefined for these parameters")
+    bound = _certified_bound(results[0])
     vals = [r.missing_edges for r in results]
     t = len(vals)
     mean = sum(vals) / t

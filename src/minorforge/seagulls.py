@@ -11,9 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExhausted, TooLarge, WrongOrder
-from .graph import Graph, bits
+from .graph import Graph, bits, complement_edge_count
 
 BRUTEFORCE_LIMIT = 15
+
+# seagull_partition gives up (BudgetExhausted) after this many search nodes
+# rather than guess, and bounds its memo of failed vertex sets.
+SEAGULL_NODE_BUDGET = 5_000_000
+SEAGULL_MEMO_CAP = 2_000_000
 
 
 def is_seagull(g: Graph, triple: tuple[int, int, int]) -> bool:
@@ -78,15 +83,7 @@ def _greedy_clique_lb(g: Graph, alive: int) -> int:
     return best
 
 
-def _complement_edge_count(g: Graph, alive: int) -> int:
-    total = 0
-    for v in bits(alive):
-        nonnb = alive & ~(g.adj[v] | (1 << v))
-        total += (nonnb >> (v + 1)).bit_count()
-    return total
-
-
-def seagull_partition(g: Graph, budget: int = 5_000_000) -> SeagullPartition | None:
+def seagull_partition(g: Graph) -> SeagullPartition | None:
     """Partition all vertices into |V|/3 seagulls, or None when impossible.
 
     Exhaustive backtracking with sound pruning only: too few non-adjacent
@@ -105,22 +102,21 @@ def seagull_partition(g: Graph, budget: int = 5_000_000) -> SeagullPartition | N
     nodes = 0
     out: list[tuple[int, int, int]] = []
     failed: set[int] = set()
-    memo_cap = 2_000_000
 
     def rec(unused: int, k_res: int) -> bool:
         nonlocal nodes
         nodes += 1
-        if nodes > budget:
-            raise BudgetExhausted(f"seagull search exceeded {budget} nodes")
+        if nodes > SEAGULL_NODE_BUDGET:
+            raise BudgetExhausted(f"seagull search exceeded {SEAGULL_NODE_BUDGET} nodes")
         if not unused:
             return True
         if unused in failed:
             return False
         if (
-            _complement_edge_count(g, unused) < k_res
+            complement_edge_count(g, unused) < k_res
             or _greedy_clique_lb(g, unused) > 2 * k_res
         ):
-            if len(failed) < memo_cap:
+            if len(failed) < SEAGULL_MEMO_CAP:
                 failed.add(unused)
             return False
         # scarcest vertex first: fewest unused non-neighbours
@@ -153,7 +149,7 @@ def seagull_partition(g: Graph, budget: int = 5_000_000) -> SeagullPartition | N
                 if rec(rest & ~((1 << a) | (1 << b)), k_res - 1):
                     return True
                 out.pop()
-        if len(failed) < memo_cap:
+        if len(failed) < SEAGULL_MEMO_CAP:
             failed.add(unused)
         return False
 

@@ -10,6 +10,7 @@ from conftest import (
     brute_max_independent_size,
     small_alpha2_graphs,
 )
+from minorforge import analysis
 from minorforge.analysis import (
     capacity,
     clique_number,
@@ -25,7 +26,7 @@ from minorforge.analysis import (
     min_capacity,
     seagull_conditions,
 )
-from minorforge.errors import AlphaTooLarge, NotAClique
+from minorforge.errors import AlphaTooLarge, BudgetExhausted, NotAClique
 from minorforge.generators import named_graph, triangle_free_process_complement
 from minorforge.graph import Graph, bits, complement, mask_of
 from minorforge.rng import trial_rng
@@ -169,6 +170,12 @@ def test_enumerate_cliques_counts():
     # K4: 4 + 6 + 4 + 1 nonempty cliques
     assert sum(1 for _ in enumerate_cliques(k_n(4))) == 15
     assert sum(1 for _ in enumerate_cliques(c_n(5))) == 10  # 5 vertices + 5 edges
+
+
+def test_min_capacity_raises_when_clique_budget_runs_out(monkeypatch):
+    monkeypatch.setattr(analysis, "CLIQUE_BUDGET", 14)
+    with pytest.raises(BudgetExhausted, match="more than 14 cliques"):
+        min_capacity(k_n(4))  # 15 nonempty cliques
 
 
 # --- connectivity ------------------------------------------------------------------

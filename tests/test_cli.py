@@ -1,9 +1,11 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+from minorforge import analysis
 from minorforge.cli import main
 from minorforge.generators import triangle_free_process_complement
 from minorforge.graph import (
@@ -300,6 +302,10 @@ def run_module(*argv):
         (("mc", "--suite", "pairing-joint", "--trials", "0"), "trials"),
         (("mc", "--suite", "chebyshev", "--trials", "0"), "trials"),
         (("mc", "--suite", "expectation-bound", "--instances", "0"), "instances"),
+        (("mc", "--suite", "expectation-bound", "--jobs", "0"), "jobs"),
+        (("mc", "--suite", "expectation-bound", "--jobs", "-3"), "jobs"),
+        (("mc", "--suite", "expectation-bound", "--sizes", "110,7"), "even and at least 6"),
+        (("mc", "--suite", "expectation-bound", "--sizes", "4"), "even and at least 6"),
         (("mc", "--suite", "pairing-marginals", "--x", "3"), "even ground set"),
         (("mc", "--suite", "pairing-marginals", "--x", "1"), "even ground set"),
         (("mc", "--suite", "pairing-joint", "--x", "2"), "at least 4"),
@@ -319,3 +325,40 @@ def test_analyze_directory_exits_2(tmp_path):
     proc = run_module("analyze", str(tmp_path))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["analyze", "build-minor"])
+def test_huge_order_header_exits_2(tmp_path, command):
+    path = tmp_path / "huge.txt"
+    path.write_text("p 99999999999 0\n")
+    proc = run_module(command, str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "MemoryError" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "exceeds the limit" in proc.stderr
+
+
+@pytest.mark.parametrize("command,options", [("analyze", ()), ("build-minor", ("--lambda", "clamped"))])
+def test_input_file_is_read_once(capsys, monkeypatch, instance_file, command, options):
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    code, out, _ = run_cli(capsys, command, instance_file, *options, "--format", "records")
+    assert code == 0
+    assert opened.count(instance_file) == 1
+    with real_open(instance_file, "rb") as fh:
+        assert records(out)[0]["input_sha256"] == hashlib.sha256(fh.read()).hexdigest()
+
+
+def test_analyze_exits_4_when_clique_budget_runs_out(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "fw.txt"
+    run_cli(capsys, "gen", "--named", "five_wheel", "--out", str(path))
+    monkeypatch.setattr(analysis, "CLIQUE_BUDGET", 3)
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 4
+    assert out == "" and err == "error: more than 3 cliques\n"

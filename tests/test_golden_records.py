@@ -32,10 +32,12 @@ CASES = [
     (("mc", "--suite", "expectation-bound", "--sizes", "110", "--instances", "1",
       "--trials", "3", "--seed", "5", "--sweep-limit", "0"),
      3, "9b0376c1096d429a02f1bdab863bea69d6e0d60733232c32f48b1b214c80562a"),
-    # no swept instance is eligible, and the advisory run refuses the graph
+    # no swept instance is eligible, and the advisory run refuses the graph:
+    # the refusal is the failed structural-run record (re-pinned when the
+    # fallback stopped exiting with an empty stdout)
     (("mc", "--suite", "expectation-bound", "--sizes", "20", "--instances", "1",
       "--trials", "3", "--seed", "5", "--sweep-limit", "3"),
-     3, EMPTY),
+     3, "fdf58179b11f9a44cd3391396d5de9d836a99acd6281a539f24a16c33a6ab07f"),
     (("gen", "--family", "tfp", "--n", "30", "--seed", "4"),
      0, "866ef97647591cd96faf8d2e68e0eb7f64ca404d6bb3076f503707fc4a44498d"),
     (("gen", "--family", "c5blowup", "--t", "3"),

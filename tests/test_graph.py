@@ -5,10 +5,12 @@ import pytest
 from minorforge.errors import InvalidDecomposition, ParseError
 from minorforge.generators import named_graph, triangle_free_process_complement
 from minorforge.graph import (
+    MAX_ORDER,
     BranchDecomposition,
     Graph,
     bits,
     complement,
+    complement_edge_count,
     contract,
     from_text,
     induced_subgraph,
@@ -49,6 +51,14 @@ def test_complement_edge_count_identity():
     for i in range(5):
         g = triangle_free_process_complement(12, trial_rng(7, i))
         assert g.edge_count + complement(g).edge_count == math.comb(12, 2)
+
+
+def test_complement_edge_count_within_mask():
+    for i in range(5):
+        g = triangle_free_process_complement(12, trial_rng(7, i))
+        assert complement_edge_count(g, g.vertex_mask) == complement(g).edge_count
+        sub, _ = induced_subgraph(g, mask_of([0, 3, 4, 8, 11]))
+        assert complement_edge_count(g, mask_of([0, 3, 4, 8, 11])) == complement(sub).edge_count
 
 
 def test_induced_subgraph_path_from_c5():
@@ -160,8 +170,13 @@ def test_text_format_shape():
         "p 3 2\ne 1 2\ne 1 2\n",  # duplicate
         "p 3 1\nq 1 2\n",        # unknown line
         "p x 1\ne 1 2\n",        # non-integer
+        f"p {MAX_ORDER + 1} 0\n",  # order above the cap
     ],
 )
 def test_text_rejects_malformed(bad):
     with pytest.raises(ParseError):
         from_text(bad)
+
+
+def test_text_accepts_the_largest_order():
+    assert from_text(f"p {MAX_ORDER} 0\n").n == MAX_ORDER

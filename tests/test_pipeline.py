@@ -142,6 +142,14 @@ def test_preconditions_q_recorded_when_invalid():
     assert pre.q < 0 and not pre.lambda_sq_gt_2n
 
 
+def test_failed_flags_in_declared_order():
+    pre = preconditions(k_n(8), PipelineConfig(lambda_policy=Fraction(1)))
+    assert pre.failed_flags == (
+        "clique_below_quarter", "lambda_sq_gt_2n", "matching_count_nonneg"
+    )
+    assert not pre.strict_ok
+
+
 def test_preconditions_strict_instance(prepared110):
     pre = prepared110.report
     assert pre.strict_ok
@@ -246,6 +254,14 @@ def test_certify_q_gate(instance110):
     res = run_pipeline(instance110, cfg)
     with pytest.raises(NotCertifiable, match="lambda"):
         certify(res)
+
+
+def test_certify_and_certify_batch_refuse_alike(instance110):
+    res = run_pipeline(instance110, PipelineConfig(seed=0))  # n23: lambda > (k-1)/2
+    for cert in (certify, lambda r: certify_batch([r])):
+        with pytest.raises(NotCertifiable) as exc:
+            cert(res)
+        assert str(exc.value) == "hypothesis flags failed: lambda_le_half_k_minus_1"
 
 
 def test_certify_batch(instance110):

@@ -1,8 +1,9 @@
 import pytest
 
 from conftest import small_alpha2_graphs
+from minorforge import seagulls
 from minorforge.analysis import clique_number, is_alpha_le_2
-from minorforge.errors import TooLarge, WrongOrder
+from minorforge.errors import BudgetExhausted, TooLarge, WrongOrder
 from minorforge.generators import named_graph, triangle_free_process_complement
 from minorforge.graph import Graph, bits
 from minorforge.rng import trial_rng
@@ -108,3 +109,11 @@ def test_partition_matches_bruteforce_feasibility():
         part = seagull_partition(g)
         full = max_disjoint_seagulls_bruteforce(g) == g.n // 3
         assert (part is not None) == full, g
+
+
+def test_partition_raises_when_node_budget_runs_out(monkeypatch):
+    c6 = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
+    assert seagull_partition(c6) is not None
+    monkeypatch.setattr(seagulls, "SEAGULL_NODE_BUDGET", 1)
+    with pytest.raises(BudgetExhausted, match="exceeded 1 nodes"):
+        seagull_partition(c6)
