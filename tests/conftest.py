@@ -96,3 +96,110 @@ def petersen():
     from minorforge.generators import named_graph
 
     return named_graph("petersen")
+
+
+# --- edge-set oracles for the graph primitives ----------------------------------
+#
+# These work on a Python set of (u, v) pairs with u < v and on plain vertex
+# lists, never on the library's neighbour masks, so they share no code with
+# the restriction, contraction and minor checks they are compared against.
+
+
+def members(mask: int) -> list[int]:
+    """Vertices of a nonnegative mask, ascending, by testing every bit."""
+    return [v for v in range(mask.bit_length()) if (mask >> v) & 1]
+
+
+def vertex_mask(vertices) -> int:
+    return sum(1 << v for v in set(vertices))
+
+
+def oracle_neighbours(n: int, edges) -> list[list[int]]:
+    nbrs = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return nbrs
+
+
+def oracle_connected(edges, vertices) -> bool:
+    """Nonempty and connected inside the vertex list (BFS over the edge set)."""
+    inside = set(vertices)
+    if not inside:
+        return False
+    start = min(inside)
+    seen, queue = {start}, [start]
+    while queue:
+        v = queue.pop()
+        for u in inside - seen:
+            if (min(u, v), max(u, v)) in edges:
+                seen.add(u)
+                queue.append(u)
+    return seen == inside
+
+
+def oracle_induced(edges, vertices) -> set[tuple[int, int]]:
+    """Edges of the subgraph induced on the sorted vertices, relabelled by rank."""
+    old = sorted(vertices)
+    return {
+        (i, j)
+        for i in range(len(old))
+        for j in range(i + 1, len(old))
+        if (old[i], old[j]) in edges
+    }
+
+
+def oracle_joined(edges, part_a, part_b) -> bool:
+    return any((min(u, v), max(u, v)) in edges for u in part_a for v in part_b)
+
+
+def oracle_contract(edges, parts) -> set[tuple[int, int]]:
+    """i ~ j exactly when some edge joins parts i and j."""
+    vs = [members(p) for p in parts]
+    return {
+        (i, j)
+        for i in range(len(vs))
+        for j in range(i + 1, len(vs))
+        if oracle_joined(edges, vs[i], vs[j])
+    }
+
+
+def oracle_minor_violation(n: int, edges, h_n: int, h_edges, parts) -> str | None:
+    """The first reason, in the library's order and wording, that the parts
+    fail to witness the minor (h_n, h_edges) of (n, edges); None if they do."""
+    if len(parts) != h_n:
+        return f"part_count: {len(parts)} parts for {h_n} minor vertices"
+    used: set[int] = set()
+    for i, p in enumerate(parts):
+        vs = members(p)
+        if not vs:
+            return f"empty_part: {i}"
+        if vs[-1] >= n:
+            return f"out_of_range: part {i}"
+        if used & set(vs):
+            return f"overlap: part {i}"
+        used |= set(vs)
+    for i, p in enumerate(parts):
+        if not oracle_connected(edges, members(p)):
+            return f"disconnected_part: {i}"
+    for i, j in sorted(h_edges):
+        if not oracle_joined(edges, members(parts[i]), members(parts[j])):
+            return f"missing_cross_edge: ({i},{j})"
+    return None
+
+
+def oracle_adjacency_error(masks) -> str | None:
+    """The message a neighbour-mask list must be refused with, or None:
+    loops and out-of-range bits per vertex first, then the first asymmetric
+    pair in row-major order."""
+    n = len(masks)
+    for v, a in enumerate(masks):
+        if (a >> v) & 1:
+            return f"loop at vertex {v}"
+        if a >> n:
+            return f"adjacency of {v} out of range"
+    for v in range(n):
+        for u in range(n):
+            if (masks[v] >> u) & 1 and not (masks[u] >> v) & 1:
+                return f"asymmetric adjacency {v}->{u}"
+    return None
