@@ -288,8 +288,27 @@ def enumerate_cliques(g: Graph):
     yield from rec(0, g.vertex_mask)
 
 
+def _greedy_clique_size(g: Graph) -> int:
+    """Size of a maximal clique grown by repeatedly taking the candidate
+    with the most candidate neighbours; a cheap lower bound for the clique
+    number."""
+    size, cand = 0, g.vertex_mask
+    while cand:
+        v = max(bits(cand), key=lambda u: (g.adj[u] & cand).bit_count())
+        cand &= g.adj[v]
+        size += 1
+    return size
+
+
 def min_capacity(g: Graph) -> tuple[Fraction, int]:
-    """Exact minimum capacity over all nonempty cliques, with a witness."""
+    """Exact minimum capacity over all nonempty cliques, with a witness.
+
+    Raises BudgetExhausted when g has more than CLIQUE_BUDGET nonempty cliques.
+    """
+    # every nonempty subset of a clique is a clique, so a clique of size c
+    # proves 2^c - 1 of them: refuse at once instead of after enumerating
+    if (1 << _greedy_clique_size(g)) - 1 > CLIQUE_BUDGET:
+        raise BudgetExhausted(f"more than {CLIQUE_BUDGET} cliques")
     best = None
     witness = 0
     for c in enumerate_cliques(g):

@@ -14,6 +14,10 @@ from .errors import UnknownName
 from .graph import Graph, complement
 from .rng import trial_rng
 
+# The triangle-free process visits the pairs in batches of this many, so
+# only one batch at a time exists as Python ints.
+TFP_CHUNK = 8192
+
 
 def triangle_free_process_complement(num_vertices: int, rng: np.random.Generator) -> Graph:
     """Complement of a maximal triangle-free graph grown by the random
@@ -22,15 +26,16 @@ def triangle_free_process_complement(num_vertices: int, rng: np.random.Generator
     if num_vertices < 0:
         raise ValueError("num_vertices must be nonnegative")
     n = num_vertices
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    order = rng.permutation(len(pairs))
+    us, vs = np.triu_indices(n, 1)  # the pairs u < v in row-major order
+    order = rng.permutation(len(us))
     adj = [0] * n
-    for idx in order:
-        u, v = pairs[int(idx)]
-        if adj[u] & adj[v]:
-            continue
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    for start in range(0, len(order), TFP_CHUNK):
+        chunk = order[start : start + TFP_CHUNK]
+        for u, v in zip(us[chunk].tolist(), vs[chunk].tolist()):
+            if adj[u] & adj[v]:
+                continue
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
     return complement(Graph.from_adj(adj))
 
 

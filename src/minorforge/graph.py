@@ -3,12 +3,20 @@
 Adjacency is one Python int bitmask per vertex, so complement, contraction
 and triangle scans are word-parallel.  Vertex sets everywhere in this
 package are plain int bitmasks over the host graph's indices.
+
+The masks stay the representation.  The bulk steps that would otherwise
+loop over every edge in Python (the symmetry check of each construction,
+restriction to a vertex set, contraction and the minor re-check) unpack the
+masks they need into a bool bit matrix (bit_matrix), work on it with numpy
+and pack the rows back into masks (row_masks).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import InvalidDecomposition, ParseError
 
@@ -26,6 +34,51 @@ def mask_of(vertices: Iterable[int]) -> int:
     for v in vertices:
         m |= 1 << v
     return m
+
+
+def bit_matrix(masks, n: int) -> np.ndarray:
+    """len(masks) x n bool matrix; row i holds bits 0..n-1 of masks[i].
+
+    Every mask must be nonnegative and below 2**(8 * ceil(n / 8)).
+    """
+    masks = tuple(masks)
+    if not masks or not n:
+        return np.zeros((len(masks), n), dtype=bool)
+    width = (n + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(-1, width), axis=1, count=n, bitorder="little").view(bool)
+
+
+def row_masks(mat: np.ndarray) -> list[int]:
+    """The inverse of bit_matrix: one int mask per row of a bool matrix."""
+    rows, cols = mat.shape
+    if not rows or not cols:
+        return [0] * rows
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    width = packed.shape[1]
+    raw = packed.tobytes()
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, rows * width, width)]
+
+
+def _or_over_parts(mat: np.ndarray, parts) -> np.ndarray:
+    """rows x len(parts) bool matrix whose column i ORs the columns of mat
+    (one per host vertex) at the vertices of parts[i]; parts are nonempty.
+
+    Parts of one size are done together: with their vertices listed part
+    after part, column slice o::s holds the o-th vertex of every part of
+    size s, so s whole-slice ORs cover them all.
+    """
+    out = np.zeros((mat.shape[0], len(parts)), dtype=bool)
+    by_size: dict[int, list[int]] = {}
+    for i, p in enumerate(parts):
+        by_size.setdefault(p.bit_count(), []).append(i)
+    for s, which in by_size.items():
+        cols = mat[:, [v for i in which for v in bits(parts[i])]]
+        acc = cols[:, 0::s].copy()
+        for o in range(1, s):
+            acc |= cols[:, o::s]
+        out[:, which] = acc
+    return out
 
 
 class Graph:
@@ -62,10 +115,12 @@ class Graph:
                 raise ValueError(f"loop at vertex {v}")
             if a & ~full:
                 raise ValueError(f"adjacency of {v} out of range")
-        for v in range(g.n):
-            for u in bits(adj[v]):
-                if not (adj[u] >> v) & 1:
-                    raise ValueError(f"asymmetric adjacency {v}->{u}")
+        # after the range checks, so every mask fits bit_matrix's rows
+        m = bit_matrix(adj, g.n)
+        bad = m > m.T  # v->u without u->v
+        if bad.any():
+            v, u = np.argwhere(bad)[0]  # row-major: the first v, then its first u
+            raise ValueError(f"asymmetric adjacency {v}->{u}")
         return g
 
     @property
@@ -116,12 +171,8 @@ def induced_subgraph(g: Graph, subset: int) -> tuple[Graph, tuple[int, ...]]:
     if subset & ~g.vertex_mask:
         raise ValueError("subset not within the vertex range")
     old = tuple(bits(subset))
-    pos = {v: i for i, v in enumerate(old)}
-    adj = [0] * len(old)
-    for i, v in enumerate(old):
-        for w in bits(g.adj[v] & subset):
-            adj[i] |= 1 << pos[w]
-    return Graph.from_adj(adj), old
+    rows = bit_matrix([g.adj[v] for v in old], g.n)
+    return Graph.from_adj(row_masks(rows[:, old])), old
 
 
 def complement_edge_count(g: Graph, subset: int) -> int:
@@ -191,14 +242,10 @@ def contract(g: Graph, d: BranchDecomposition) -> Graph:
         for v in bits(p):
             r |= g.adj[v]
         reach[i] = r
-    k = len(d.parts)
-    adj = [0] * k
-    for i in range(k):
-        for j in range(i + 1, k):
-            if reach[i] & d.parts[j]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return Graph.from_adj(adj)
+    # h[i, j]: part i reaches some vertex of part j
+    h = _or_over_parts(bit_matrix(reach, g.n), d.parts)
+    np.fill_diagonal(h, False)
+    return Graph.from_adj(row_masks(h))
 
 
 def minor_violation(g: Graph, h: Graph, d: BranchDecomposition) -> str | None:
@@ -220,15 +267,14 @@ def minor_violation(g: Graph, h: Graph, d: BranchDecomposition) -> str | None:
     for i, p in enumerate(d.parts):
         if not is_connected_subset(g, p):
             return f"disconnected_part: {i}"
-    reach = [0] * len(d.parts)
-    for i, p in enumerate(d.parts):
-        r = 0
-        for v in bits(p):
-            r |= g.adj[v]
-        reach[i] = r
-    for i, j in h.edges():
-        if not reach[i] & d.parts[j]:
-            return f"missing_cross_edge: ({i},{j})"
+    # joined[i, j]: some g-edge runs between parts i and j, from the host's
+    # adjacency alone (OR over each part's columns, then over its rows)
+    near = _or_over_parts(bit_matrix(g.adj, g.n), d.parts)
+    joined = _or_over_parts(near.T, d.parts)
+    missing = np.triu(bit_matrix(h.adj, h.n) & ~joined, 1)
+    if missing.any():
+        i, j = np.argwhere(missing)[0]  # row-major: h.edges() order
+        return f"missing_cross_edge: ({i},{j})"
     return None
 
 
@@ -245,8 +291,10 @@ def verify_minor(g: Graph, h: Graph, d: BranchDecomposition) -> bool:
 # order.
 
 # Largest order the reader accepts.  Each vertex's adjacency is an n-bit int,
-# so a graph of order n takes up to n^2/8 bytes (128 MiB at this order); a
-# larger header is refused before anything is allocated.
+# so a graph of order n takes up to n^2/8 bytes (128 MiB at this order), and
+# the bit-matrix checks (from_adj's symmetry check, the minor re-check) hold
+# unpacked n x n bool matrices of n^2 bytes each while they run (1 GiB each
+# at this order); a larger header is refused before anything is allocated.
 MAX_ORDER = 1 << 15
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -362,3 +363,15 @@ def test_analyze_exits_4_when_clique_budget_runs_out(capsys, monkeypatch, tmp_pa
     code, out, err = run_cli(capsys, "analyze", str(path))
     assert code == 4
     assert out == "" and err == "error: more than 3 cliques\n"
+
+
+def test_analyze_refuses_a_large_clique_at_once(capsys, tmp_path):
+    # K_22 has 2^22 - 1 nonempty cliques; enumerating a million of them
+    # before giving up took over 12 s
+    path = tmp_path / "k22.txt"
+    run_cli(capsys, "gen", "--named", "k_n", "--order", "22", "--out", str(path))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert time.perf_counter() - start < 2
+    assert code == 4
+    assert out == "" and err == f"error: more than {analysis.CLIQUE_BUDGET} cliques\n"

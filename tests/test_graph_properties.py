@@ -22,10 +22,12 @@ from conftest import (
 from minorforge.graph import (
     BranchDecomposition,
     Graph,
+    bit_matrix,
     contract,
     from_text,
     induced_subgraph,
     minor_violation,
+    row_masks,
     to_text,
 )
 
@@ -57,7 +59,7 @@ def random_decomposition(n, edges, rnd) -> list[int]:
         if s not in free or rnd.random() >= cover:
             continue
         free.discard(s)
-        part, size = [s], rnd.randint(1, 4)
+        part, size = [s], rnd.choice((1, 2, 3, 4, 9, MAX_DRAWN_ORDER))
         while len(part) < size:
             grow = sorted({u for v in part for u in nbrs[v] if u in free})
             if not grow:
@@ -201,3 +203,15 @@ def test_from_adj_refuses_one_flipped_bit_like_the_oracle(order, data):
 def test_text_roundtrip(order, data):
     g, _, _ = draw_graph(data, order)
     assert from_text(to_text(g)) == g
+
+
+@ORDERS
+@PROPERTY
+@given(data=st.data())
+def test_bit_matrix_rows_are_the_mask_bits(order, data):
+    n = data.draw(st.integers(0, MAX_DRAWN_ORDER)) if order is None else order
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12))
+    mat = bit_matrix(masks, n)
+    assert mat.shape == (len(masks), n) and mat.dtype == bool
+    assert [[bool((m >> v) & 1) for v in range(n)] for m in masks] == mat.tolist()
+    assert row_masks(mat) == masks
