@@ -14,7 +14,7 @@ and pack the rows back into masks (row_masks).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,12 +36,11 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-def bit_matrix(masks, n: int) -> np.ndarray:
+def bit_matrix(masks: Sequence[int], n: int) -> np.ndarray:
     """len(masks) x n bool matrix; row i holds bits 0..n-1 of masks[i].
 
     Every mask must be nonnegative and below 2**(8 * ceil(n / 8)).
     """
-    masks = tuple(masks)
     if not masks or not n:
         return np.zeros((len(masks), n), dtype=bool)
     width = (n + 7) // 8

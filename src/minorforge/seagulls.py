@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .analysis import greedy_clique_lb
 from .errors import BudgetExhausted, TooLarge, WrongOrder
 from .graph import Graph, bits, complement_edge_count
 
@@ -63,26 +64,6 @@ class SeagullPartition:
         return "".join(f"s {a + 1} {mid + 1} {b + 1}\n" for a, mid, b in self.triples)
 
 
-def _greedy_clique_lb(g: Graph, alive: int) -> int:
-    """Greedy clique inside `alive`: a lower bound on its clique number."""
-    best = 0
-    rem = alive
-    # a few deterministic starts keep the bound useful at negligible cost
-    for _ in range(3):
-        if not rem:
-            break
-        v = (rem & -rem).bit_length() - 1
-        rem &= rem - 1
-        cur = 1 << v
-        cand = g.adj[v] & alive
-        while cand:
-            u = (cand & -cand).bit_length() - 1
-            cur |= 1 << u
-            cand &= g.adj[u]
-        best = max(best, cur.bit_count())
-    return best
-
-
 def seagull_partition(g: Graph) -> SeagullPartition | None:
     """Partition all vertices into |V|/3 seagulls, or None when impossible.
 
@@ -114,7 +95,7 @@ def seagull_partition(g: Graph) -> SeagullPartition | None:
             return False
         if (
             complement_edge_count(g, unused) < k_res
-            or _greedy_clique_lb(g, unused) > 2 * k_res
+            or greedy_clique_lb(g, unused) > 2 * k_res
         ):
             if len(failed) < SEAGULL_MEMO_CAP:
                 failed.add(unused)
