@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from minorforge import analysis
+from minorforge import analysis, cli, errors
 from minorforge.cli import main
 from minorforge.generators import triangle_free_process_complement
 from minorforge.graph import (
@@ -375,3 +375,23 @@ def test_analyze_refuses_a_large_clique_at_once(capsys, tmp_path):
     assert time.perf_counter() - start < 2
     assert code == 4
     assert out == "" and err == f"error: more than {analysis.CLIQUE_BUDGET} cliques\n"
+
+
+ERROR_CLASSES = [
+    cls for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.MinorforgeError)
+] + [OSError, ValueError]
+INPUT_ERRORS = {"ParseError", "UnknownName", "UnknownSuite", "OSError", "ValueError"}
+EXHAUSTED_ERRORS = {"RejectionExhausted", "NotEnoughEdges", "BudgetExhausted"}
+
+
+@pytest.mark.parametrize("exc_class", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_exit_code_of_each_error_class(capsys, monkeypatch, exc_class):
+    def failing_command(args):
+        raise exc_class("stub failure")
+
+    monkeypatch.setitem(cli._COMMANDS, "gamma", failing_command)
+    code, out, err = run_cli(capsys, "gamma")
+    name = exc_class.__name__
+    assert code == (2 if name in INPUT_ERRORS else 4 if name in EXHAUSTED_ERRORS else 3)
+    assert out == "" and err == "error: stub failure\n"

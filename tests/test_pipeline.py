@@ -1,9 +1,12 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import small_alpha2_graphs
+from conftest import oracle_contract, small_alpha2_graphs
 from minorforge.analysis import clique_stats, max_clique
 from minorforge.errors import (
     AlphaTooLarge,
@@ -198,6 +201,34 @@ def test_pipeline_rejection_exhaustion():
     cfg = PipelineConfig(lambda_policy=Fraction(1, 10**6), seed=0, max_rejection_tries=1)
     with pytest.raises(RejectionExhausted):
         run_pipeline(g, cfg)
+
+
+@pytest.fixture(scope="module")
+def advisory110(prepared110):
+    return PreparedPipeline(prepared110.g, replace(prepared110.cfg, mode="advisory"))
+
+
+@pytest.mark.parametrize("twin", ["prepared110", "advisory110"])
+@settings(max_examples=25, deadline=None)
+@given(trial=st.integers(0, 2**63 - 1))
+def test_accounting_identity(twin, trial, prepared110, advisory110):
+    # missing edges are counted from host edges and the parts alone: every
+    # non-joined part pair is a clique vertex against a pair (bad triple)
+    # or a pair against a pair (bad quadruple)
+    prep = {"prepared110": prepared110, "advisory110": advisory110}[twin]
+    res = prep.run(trial)
+    parts = res.decomposition.parts
+    joined = oracle_contract(set(prep.g.edges()), parts)
+    assert set(res.h.edges()) == joined
+    kinds = [
+        tuple(sorted((parts[i].bit_count(), parts[j].bit_count())))
+        for i in range(len(parts))
+        for j in range(i + 1, len(parts))
+        if (i, j) not in joined
+    ]
+    assert set(kinds) <= {(1, 2), (2, 2)}
+    assert kinds.count((1, 2)) == res.realized_bad_triples
+    assert kinds.count((2, 2)) == res.realized_bad_quadruples
 
 
 def _structural_checks(g, res):
