@@ -23,16 +23,13 @@ from . import analysis, bounds, generators, montecarlo, pipeline
 from .errors import (
     AlphaTooLarge,
     BudgetExhausted,
-    Ineligible,
     MinorforgeError,
     NotCertifiable,
     NotEnoughEdges,
     ParseError,
     RejectionExhausted,
-    TooLarge,
     UnknownName,
     UnknownSuite,
-    WrongOrder,
 )
 from .graph import bits, from_text, to_text
 
@@ -42,7 +39,6 @@ EXIT_INELIGIBLE = 3
 EXIT_EXHAUSTED = 4
 
 _INPUT_ERRORS = (ParseError, UnknownName, UnknownSuite, OSError, ValueError)
-_INELIGIBLE_ERRORS = (Ineligible, AlphaTooLarge, WrongOrder, TooLarge, NotCertifiable)
 _EXHAUSTED_ERRORS = (RejectionExhausted, NotEnoughEdges, BudgetExhausted)
 
 
@@ -148,10 +144,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_build_minor(args) -> int:
     g, digest = _read_input(args.graph)
     cfg = pipeline.PipelineConfig(
-        lambda_policy=_parse_lambda(args.lam),
-        seed=args.seed,
-        mode=args.mode,
-        max_rejection_tries=args.max_tries,
+        lambda_policy=_parse_lambda(args.lam), seed=args.seed, mode=args.mode
     )
     t0 = time.monotonic()
     result = pipeline.run_pipeline(g, cfg, trial=args.trial)
@@ -272,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="n23, clamped, or an explicit rational")
     p_bm.add_argument("--mode", choices=("strict", "advisory"), default="strict")
     p_bm.add_argument("--trial", type=int, default=0)
-    p_bm.add_argument("--max-tries", type=int, default=200)
     p_bm.add_argument("--out-h", help="write the minor graph file here")
     p_bm.add_argument("--out-branches", help="write the branch map here")
 
@@ -313,9 +305,6 @@ def main(argv=None) -> int:
     except _EXHAUSTED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
-    except _INELIGIBLE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INELIGIBLE
     except MinorforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INELIGIBLE

@@ -102,11 +102,12 @@ def in_concentration_event(m: Pairing, g: Graph, lam) -> bool:
 
 
 def sample_conditioned(
-    g: Graph, lam, max_tries: int, rng: np.random.Generator
+    g: Graph, lam, max_tries: int, rng: np.random.Generator, min_edges: int = 0
 ) -> Pairing:
-    """Uniform pairing conditioned on the concentration event, by rejection.
+    """Uniform pairing conditioned on the concentration event and on having
+    at least min_edges edges in g, by rejection.
 
-    Output is exactly uniform on the event.  Raises RejectionExhausted after
+    Output is exactly uniform on that event.  Raises RejectionExhausted after
     max_tries misses (the event is too small for this lambda).
     """
     lam_f = Fraction(lam)
@@ -114,9 +115,10 @@ def sample_conditioned(
         raise ValueError("lambda must be positive")
     for _ in range(max_tries):
         m = sample_uniform_pairing(g.n, rng)
-        if in_concentration_event(m, g, lam_f):
+        if in_concentration_event(m, g, lam_f) and pairing_edge_count(m, g) >= min_edges:
             return m
-    raise RejectionExhausted(f"no pairing hit the event in {max_tries} tries")
+    wanted = f"with >= {min_edges} edges " if min_edges > 0 else ""
+    raise RejectionExhausted(f"no pairing {wanted}hit the event in {max_tries} tries")
 
 
 def subsample_matching(

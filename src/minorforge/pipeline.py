@@ -22,7 +22,6 @@ from .errors import (
     Ineligible,
     MinorforgeError,
     NotCertifiable,
-    RejectionExhausted,
     SeagullFailure,
 )
 from .graph import (
@@ -34,17 +33,21 @@ from .graph import (
     mask_of,
     minor_violation,
 )
+# in_concentration_event and sample_uniform_pairing are unused here, but
+# perfbench traces the sampler by looking both up in this module
 from .pairings import (
-    Pairing,
     SubMatching,
     in_concentration_event,
-    pairing_edge_count,
     sample_conditioned,
     sample_uniform_pairing,
     subsample_matching,
 )
 from .rng import trial_rng
 from .seagulls import SeagullPartition, seagull_partition
+
+# A trial's sampler gives up (RejectionExhausted) after this many pairings
+# outside the event.
+MAX_REJECTION_TRIES = 200
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,6 @@ class PipelineConfig:
     lambda_policy: object = "n23"
     seed: int = 0
     mode: str = "strict"
-    max_rejection_tries: int = 200
 
     def __post_init__(self):
         if self.mode not in ("strict", "advisory"):
@@ -256,42 +258,24 @@ class PreparedPipeline:
         if not r.matching_count_nonneg:
             raise Ineligible(f"n - 2k = {self.n - 2 * self.k} negative")
 
-    def _sample_matching(self, trial: int) -> tuple[Pairing, SubMatching]:
+    def _sample_matching(self, trial: int) -> SubMatching:
         rng = trial_rng(self.cfg.seed, trial)
         want = self.n - 2 * self.k
-        if self.cfg.mode == "advisory":
-            # condition on the event AND on having enough edges to subsample
-            tries = self.cfg.max_rejection_tries
-            m = None
-            for _ in range(tries):
-                cand = sample_uniform_pairing(self.g_prime.n, rng)
-                if in_concentration_event(cand, self.g_prime, self.lam) and (
-                    pairing_edge_count(cand, self.g_prime) >= want
-                ):
-                    m = cand
-                    break
-            if m is None:
-                raise RejectionExhausted(
-                    f"no pairing with >= {want} edges hit the event in {tries} tries"
-                )
-        else:
-            m = sample_conditioned(self.g_prime, self.lam, self.cfg.max_rejection_tries, rng)
-        m_star_local = subsample_matching(m, self.g_prime, want, rng)
-        edges = tuple(
-            (self.idx_map[u], self.idx_map[v]) for u, v in m_star_local.edges
-        )
-        edges = tuple(sorted((min(e), max(e)) for e in edges))
-        return m, SubMatching(edges=edges)
+        # advisory mode also conditions on having enough edges to subsample
+        min_edges = want if self.cfg.mode == "advisory" else 0
+        m = sample_conditioned(self.g_prime, self.lam, MAX_REJECTION_TRIES, rng, min_edges)
+        local = subsample_matching(m, self.g_prime, want, rng)
+        # idx_map is increasing, so the remapped pairs stay (low, high) and sorted
+        edges = tuple((self.idx_map[u], self.idx_map[v]) for u, v in local.edges)
+        return SubMatching(edges=edges)
 
     def run(self, trial: int = 0) -> PipelineResult:
         self.check_eligibility()
         g = self.g
         n, k = self.n, self.k
-        _, m_star = self._sample_matching(trial)
+        m_star = self._sample_matching(trial)
 
-        covered = 0
-        for u, v in m_star.edges:
-            covered |= (1 << u) | (1 << v)
+        covered = mask_of(v for edge in m_star.edges for v in edge)
         s_mask = g.vertex_mask & ~self.clique & ~covered
         if s_mask.bit_count() != 3 * k:
             raise MinorforgeError(
@@ -304,13 +288,11 @@ class PreparedPipeline:
                 "no seagull partition of the leftover vertices; this cannot "
                 "happen when the clique has maximum size"
             )
-        triples = tuple(
-            (s_map[a], s_map[mid], s_map[b]) for a, mid, b in part.triples
-        )
+        triples = tuple(sorted((s_map[a], s_map[mid], s_map[b]) for a, mid, b in part.triples))
 
         parts = [1 << zv for zv in bits(self.clique)]
         parts += [(1 << u) | (1 << v) for u, v in m_star.edges]
-        parts += [mask_of(t) for t in sorted(triples)]
+        parts += [mask_of(t) for t in triples]
         decomposition = BranchDecomposition(host=g, parts=tuple(parts))
         h = contract(g, decomposition)
         violation = minor_violation(g, h, decomposition)
@@ -319,36 +301,23 @@ class PreparedPipeline:
         if h.n != n:
             raise MinorforgeError(f"minor has {h.n} vertices, expected {n}")
 
-        # exact accounting of every missing edge of h
-        n_pairs = len(m_star.edges)
+        # exact accounting of every missing edge of h, from host adjacency:
+        # parts are k clique singletons, n - 2k pairs, then k seagulls, so a
+        # missing edge (i, j), i < j, must end at a pair j with no host edge
+        # to part i; it is a bad triple when i is a clique vertex and a bad
+        # quadruple when i is a pair.  Seagull parts miss no edge.
         bad_triples = 0
         bad_quads = 0
-        full_h = h.vertex_mask
         for i in range(h.n):
-            others = full_h & ~(h.adj[i] | ((1 << (i + 1)) - 1))
-            for j in bits(others):
-                i_kind = 0 if i < k else (1 if i < k + n_pairs else 2)
-                j_kind = 0 if j < k else (1 if j < k + n_pairs else 2)
-                kinds = (i_kind, j_kind)
-                if kinds == (0, 1):
-                    zv = parts[i].bit_length() - 1
-                    u, v = m_star.edges[j - k]
-                    if g.has_edge(zv, u) or g.has_edge(zv, v):
-                        raise MinorforgeError("missing edge not a bad triple")
-                    bad_triples += 1
-                elif kinds == (1, 1):
-                    u1, v1 = m_star.edges[i - k]
-                    u2, v2 = m_star.edges[j - k]
-                    if any(
-                        g.has_edge(x, y) for x in (u1, v1) for y in (u2, v2)
-                    ):
-                        raise MinorforgeError("missing edge not a bad quadruple")
-                    bad_quads += 1
-                else:
+            for j in bits(h.vertex_mask & ~(h.adj[i] | ((1 << (i + 1)) - 1))):
+                if not k <= j < n - k or any(g.adj[v] & parts[j] for v in bits(parts[i])):
                     raise MinorforgeError(
-                        f"missing edge between part kinds {kinds}; seagull and "
-                        "clique parts must be complete to the rest"
+                        f"missing edge ({i},{j}) is neither a bad triple nor a bad quadruple"
                     )
+                if i < k:
+                    bad_triples += 1
+                else:
+                    bad_quads += 1
         missing = comb(n, 2) - h.edge_count
         if missing != bad_triples + bad_quads:
             raise MinorforgeError(
@@ -362,7 +331,7 @@ class PreparedPipeline:
             clique=self.clique,
             deleted_vertex=self.deleted_vertex,
             m_star=m_star,
-            seagulls=SeagullPartition(triples=tuple(sorted(triples))),
+            seagulls=SeagullPartition(triples=triples),
             missing_edges=missing,
             realized_bad_triples=bad_triples,
             realized_bad_quadruples=bad_quads,

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from minorforge import analysis, cli, errors
+from minorforge import analysis, cli, errors, pipeline
 from minorforge.cli import main
 from minorforge.generators import triangle_free_process_complement
 from minorforge.graph import (
@@ -159,15 +159,14 @@ def test_build_minor_ineligible_exit_3(capsys, tmp_path):
     assert code == 3 and "clique number" in err
 
 
-def test_build_minor_exhaustion_exit_4(capsys, instance_file):
+def test_build_minor_exhaustion_exit_4(capsys, monkeypatch, instance_file):
+    monkeypatch.setattr(pipeline, "MAX_REJECTION_TRIES", 1)
     code, _, _ = run_cli(
         capsys,
         "build-minor",
         instance_file,
         "--lambda",
         "1/1000000",
-        "--max-tries",
-        "1",
     )
     assert code == 4
 

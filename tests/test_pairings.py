@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -123,6 +125,31 @@ def test_conditioned_exhaustion():
     g = Graph(4, [(0, 1)])
     with pytest.raises(RejectionExhausted):
         sample_conditioned(g, 1e-9, max_tries=1, rng=trial_rng(5))
+
+
+def reference_conditioned(g, lam, max_tries, rng, min_edges):
+    for _ in range(max_tries):
+        m = sample_uniform_pairing(g.n, rng)
+        inside = sum(g.has_edge(u, v) for u, v in m.pairs)
+        if inside >= Fraction(g.edge_count, g.n - 1) - lam and inside >= min_edges:
+            return m
+    return None
+
+
+@pytest.mark.parametrize("min_edges", [0, 2, 3])
+@pytest.mark.parametrize("seed", range(6))
+def test_conditioned_min_edges_matches_reference_loop(seed, min_edges):
+    g, lam = c_n(10), Fraction(1, 2)
+    expected = reference_conditioned(g, lam, 200, trial_rng(seed), min_edges)
+    m = sample_conditioned(g, lam, 200, trial_rng(seed), min_edges=min_edges)
+    assert m == expected
+    assert pairing_edge_count(m, g) >= min_edges
+
+
+def test_conditioned_min_edges_exhaustion_names_the_edge_count():
+    with pytest.raises(RejectionExhausted) as exc:
+        sample_conditioned(c_n(10), 0.5, 50, trial_rng(4), min_edges=6)
+    assert str(exc.value) == "no pairing with >= 6 edges hit the event in 50 tries"
 
 
 def test_conditioned_accepts_complete_graph_first_try():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_contract, small_alpha2_graphs
+from minorforge import pipeline
 from minorforge.analysis import clique_stats, max_clique
 from minorforge.errors import (
     AlphaTooLarge,
@@ -196,9 +197,10 @@ def test_pipeline_rejects_odd_or_small():
         run_pipeline(named_graph("c5"), PipelineConfig())
 
 
-def test_pipeline_rejection_exhaustion():
+def test_pipeline_rejection_exhaustion(monkeypatch):
+    monkeypatch.setattr(pipeline, "MAX_REJECTION_TRIES", 1)
     g = triangle_free_process_complement(110, trial_rng(1))
-    cfg = PipelineConfig(lambda_policy=Fraction(1, 10**6), seed=0, max_rejection_tries=1)
+    cfg = PipelineConfig(lambda_policy=Fraction(1, 10**6), seed=0)
     with pytest.raises(RejectionExhausted):
         run_pipeline(g, cfg)
 
