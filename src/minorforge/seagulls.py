@@ -31,19 +31,6 @@ def is_seagull(g: Graph, triple: tuple[int, int, int]) -> bool:
     return edges == 2
 
 
-def _ordered_seagull(g: Graph, triple: tuple[int, int, int]) -> tuple[int, int, int] | None:
-    """Reorder a 3-set as (end, mid, end) when it induces a path."""
-    a, b, c = triple
-    ab, ac, bc = g.has_edge(a, b), g.has_edge(a, c), g.has_edge(b, c)
-    if ab + ac + bc != 2:
-        return None
-    if not ab:
-        return (a, c, b)
-    if not ac:
-        return (a, b, c)
-    return (b, a, c)
-
-
 @dataclass(frozen=True)
 class SeagullPartition:
     """Disjoint ordered triples (end, mid, end) covering their host subset."""
