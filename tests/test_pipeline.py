@@ -210,14 +210,24 @@ def advisory110(prepared110):
     return PreparedPipeline(prepared110.g, replace(prepared110.cfg, mode="advisory"))
 
 
-@pytest.mark.parametrize("twin", ["prepared110", "advisory110"])
+@pytest.fixture(scope="module")
+def prepared240():
+    # on TFP(110) only n - 2k = 3 pairs remain and about 1 trial in 100 has
+    # a bad quadruple; here 36 pairs remain and about 1 trial in 6 has one
+    g = triangle_free_process_complement(240, trial_rng(1))
+    return PreparedPipeline(g, PipelineConfig(lambda_policy="clamped", seed=7))
+
+
+@pytest.mark.parametrize("instance", ["prepared110", "advisory110", "prepared240"])
 @settings(max_examples=25, deadline=None)
 @given(trial=st.integers(0, 2**63 - 1))
-def test_accounting_identity(twin, trial, prepared110, advisory110):
+def test_accounting_identity(instance, trial, prepared110, advisory110, prepared240):
     # missing edges are counted from host edges and the parts alone: every
     # non-joined part pair is a clique vertex against a pair (bad triple)
     # or a pair against a pair (bad quadruple)
-    prep = {"prepared110": prepared110, "advisory110": advisory110}[twin]
+    prep = {
+        "prepared110": prepared110, "advisory110": advisory110, "prepared240": prepared240
+    }[instance]
     res = prep.run(trial)
     parts = res.decomposition.parts
     joined = oracle_contract(set(prep.g.edges()), parts)
