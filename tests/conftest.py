@@ -6,6 +6,7 @@ check: subset enumeration, mask dynamic programs and BFS cut search.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
@@ -203,3 +204,49 @@ def oracle_adjacency_error(masks) -> str | None:
             if (masks[v] >> u) & 1 and not (masks[u] >> v) & 1:
                 return f"asymmetric adjacency {v}->{u}"
     return None
+
+
+# --- reference local search -----------------------------------------------------
+
+
+def oracle_large_clique(g: Graph, restarts: int, iters: int) -> int:
+    """The one-draw-at-a-time (1,2)-swap search that analysis.large_clique
+    must reproduce mask for mask: every restart calls rnd.randrange once per
+    iteration and tests each draw against the current set."""
+    full = (1 << g.n) - 1
+    cadj = [full & ~(g.adj[v] | (1 << v)) for v in range(g.n)]
+    n = g.n
+    best_mask = 1 if n else 0
+    best_size = 1 if n else 0
+    for seed in range(restarts):
+        rnd = random.Random((0x5EA9 << 16) | seed)
+        cur = 0
+        forb = 0
+        order = list(range(n))
+        rnd.shuffle(order)
+        for v in order:
+            if not (forb >> v) & 1:
+                cur |= 1 << v
+                forb |= (1 << v) | cadj[v]
+        cursize = cur.bit_count()
+        if cursize > best_size:
+            best_size, best_mask = cursize, cur
+        for _ in range(iters):
+            v = rnd.randrange(n)
+            if (cur >> v) & 1:
+                continue
+            nb = cadj[v] & cur
+            c = nb.bit_count()
+            if c == 0:
+                cur |= 1 << v
+                cursize += 1
+            elif c == 1:
+                u = nb.bit_length() - 1
+                cur = (cur ^ nb) | (1 << v)
+                for x in bits(cadj[u] & ~cur):
+                    if x != u and not (cadj[x] & cur) and not ((cur >> x) & 1):
+                        cur |= 1 << x
+                cursize = cur.bit_count()
+            if cursize > best_size:
+                best_size, best_mask = cursize, cur
+    return best_mask

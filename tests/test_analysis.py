@@ -8,6 +8,7 @@ from conftest import (
     brute_matching_size,
     brute_max_clique_size,
     brute_max_independent_size,
+    oracle_large_clique,
     small_alpha2_graphs,
 )
 from minorforge import analysis
@@ -27,7 +28,12 @@ from minorforge.analysis import (
     seagull_conditions,
 )
 from minorforge.errors import AlphaTooLarge, BudgetExhausted, NotAClique
-from minorforge.generators import named_graph, triangle_free_process_complement
+from minorforge.generators import (
+    c5_blowup_complement,
+    named_graph,
+    triangle_free_process_complement,
+    two_clique_complement,
+)
 from minorforge.graph import Graph, bits, complement, mask_of
 from minorforge.rng import trial_rng
 
@@ -105,6 +111,35 @@ def test_max_clique_returns_actual_clique():
         z = max_clique(g)
         vs = sorted(bits(z))
         assert all(g.has_edge(u, v) for u, v in combinations(vs, 2))
+
+
+# --- local-search clique ---------------------------------------------------------
+
+# TFP orders around the 8- and 9-bit draw widths, plus one pipeline size
+LOCAL_SEARCH_ORDERS = (151, 255, 256, 257, 400)
+
+
+@pytest.fixture(scope="module")
+def local_search_graphs():
+    tfp = [triangle_free_process_complement(n, trial_rng(707, n)) for n in LOCAL_SEARCH_ORDERS]
+    degenerate = [k_n(160), Graph(160), two_clique_complement(80, 80), c5_blowup_complement(32)]
+    return tfp, degenerate
+
+
+def test_large_clique_matches_reference_search(monkeypatch, local_search_graphs):
+    tfp, degenerate = local_search_graphs
+    for g in tfp:
+        z = analysis.large_clique(g)
+        assert z == oracle_large_clique(g, analysis.LOCAL_SEARCH_RESTARTS, analysis.LOCAL_SEARCH_ITERS)
+        assert analysis.is_clique(g, z)
+    monkeypatch.setattr(analysis, "LOCAL_SEARCH_RESTARTS", 2)
+    # short runs that stop inside the first draw block, just before and just after its end
+    for iters in (1, 4095, 4097):
+        monkeypatch.setattr(analysis, "LOCAL_SEARCH_ITERS", iters)
+        for g in tfp + degenerate:
+            z = analysis.large_clique(g)
+            assert z == oracle_large_clique(g, 2, iters), (g.n, iters)
+            assert analysis.is_clique(g, z)
 
 
 # --- clique stats ----------------------------------------------------------------
