@@ -12,8 +12,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import AlphaTooLarge, BudgetExhausted, NotAClique
-from .graph import Graph, bits, complement_adj, complement_edge_count
+from .graph import Graph, bit_matrix, bits, complement_adj, complement_edge_count
 from .graph import is_connected_subset, reach_within
 
 # Exact clique search is exponential in the worst case; above this order the
@@ -172,17 +174,52 @@ def clique_number(g: Graph) -> int:
 # --- heuristic clique for instances beyond the exact wall --------------------
 
 
+# large_clique takes its draws from each restart's Random this many 32-bit
+# words at a time, and looks for a draw that can change the set this many
+# draws at a time.  Neither changes a result.
+_DRAW_BLOCK = 4096
+_SCAN_WINDOW = 256
+
+
+def _bulk_randrange(rnd: random.Random, n: int, count: int):
+    """Yield uint32 arrays that together are [rnd.randrange(n) for _ in
+    range(count)], for 1 <= n < 2**32.
+
+    CPython's randrange(n) takes the top n.bit_length() bits of one 32-bit
+    output and draws again while the value is >= n; getrandbits(32 * b)
+    packs b successive outputs, the first one least significant.  The last
+    block may consume outputs past the count, so rnd is spent after.
+    """
+    shift = 32 - n.bit_length()
+    while count > 0:
+        raw = rnd.getrandbits(32 * _DRAW_BLOCK).to_bytes(4 * _DRAW_BLOCK, "little")
+        words = np.frombuffer(raw, "<u4")
+        vals = words >> shift
+        vals = vals[vals < n][:count]
+        count -= len(vals)
+        yield vals
+
+
 def large_clique(g: Graph) -> int:
     """Deterministic multi-restart local search for a large clique.
 
     Independent-set (1,2)-swap search in the complement.  Returns the best
     clique mask found; no maximality certificate.  Fixed seeds make the
     result a pure function of the graph.
+
+    Each restart makes LOCAL_SEARCH_ITERS uniform vertex draws, but only a
+    draw outside the set with at most one complement neighbour in it can
+    change the set.  Tightness counters (Andrade, Resende & Werneck, J.
+    Heuristics 2012) find those draws, so the cost follows the number of
+    moves rather than the number of draws.
     """
-    cadj = complement_adj(g)
     n = g.n
-    best_mask = 1 if n else 0
-    best_size = 1 if n else 0
+    if n == 0:
+        return 0
+    cadj = complement_adj(g)
+    cmat = bit_matrix(cadj, n)
+    best_mask = 1
+    best_size = 1
     for seed in range(LOCAL_SEARCH_RESTARTS):
         rnd = random.Random((0x5EA9 << 16) | seed)
         cur = 0
@@ -196,24 +233,41 @@ def large_clique(g: Graph) -> int:
         cursize = cur.bit_count()
         if cursize > best_size:
             best_size, best_mask = cursize, cur
-        for _ in range(LOCAL_SEARCH_ITERS):
-            v = rnd.randrange(n)
-            if (cur >> v) & 1:
-                continue
-            nb = cadj[v] & cur
-            c = nb.bit_count()
-            if c == 0:
-                cur |= 1 << v
-                cursize += 1
-            elif c == 1:
-                u = nb.bit_length() - 1
-                cur = (cur ^ nb) | (1 << v)
-                for x in bits(cadj[u] & ~cur):
-                    if x != u and not (cadj[x] & cur) and not ((cur >> x) & 1):
-                        cur |= 1 << x
-                cursize = cur.bit_count()
-            if cursize > best_size:
-                best_size, best_mask = cursize, cur
+        # state[x] = 2 * (x in the set) + the number of x's complement
+        # neighbours in it; a set vertex has none, so state[x] <= 1 exactly
+        # when a draw of x can change the set, and 0 when x could join it
+        incur = bit_matrix([cur], n)[0]
+        state = cmat[incur].sum(axis=0, dtype=np.int32) + 2 * incur
+        for draws in _bulk_randrange(rnd, n, LOCAL_SEARCH_ITERS):
+            p = 0
+            while p < len(draws):
+                can = state[draws[p : p + _SCAN_WINDOW]] <= 1
+                i = int(can.argmax())
+                if not can[i]:
+                    p += _SCAN_WINDOW
+                    continue
+                v = int(draws[p + i])
+                p += i + 1
+                nb = cadj[v] & cur
+                state += cmat[v]
+                state[v] += 2
+                if not nb:
+                    cur |= 1 << v
+                    cursize += 1
+                else:
+                    u = nb.bit_length() - 1
+                    cur = (cur ^ nb) | (1 << v)
+                    state -= cmat[u]
+                    state[u] -= 2
+                    # the loop only adds, so a vertex blocked now stays blocked
+                    for x in (cmat[u] & (state == 0)).nonzero()[0].tolist():
+                        if not (cadj[x] & cur):
+                            cur |= 1 << x
+                            state += cmat[x]
+                            state[x] += 2
+                    cursize = cur.bit_count()
+                if cursize > best_size:
+                    best_size, best_mask = cursize, cur
     return best_mask
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -134,12 +135,29 @@ def test_large_clique_matches_reference_search(monkeypatch, local_search_graphs)
         assert analysis.is_clique(g, z)
     monkeypatch.setattr(analysis, "LOCAL_SEARCH_RESTARTS", 2)
     # short runs that stop inside the first draw block, just before and just after its end
-    for iters in (1, 4095, 4097):
+    block = analysis._DRAW_BLOCK
+    for iters in (1, block - 1, block + 1):
         monkeypatch.setattr(analysis, "LOCAL_SEARCH_ITERS", iters)
         for g in tfp + degenerate:
             z = analysis.large_clique(g)
             assert z == oracle_large_clique(g, 2, iters), (g.n, iters)
             assert analysis.is_clique(g, z)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 1600, 32768])
+def test_bulk_draws_are_randrange_draws(n):
+    # large_clique relies on this replay of CPython's sampler
+    m = 2 * analysis._DRAW_BLOCK + 17
+    for seed in (0, 1, 0x5EA90000):
+        rnd = random.Random(seed)
+        want = [rnd.randrange(n) for _ in range(m)]
+        rnd = random.Random(seed)
+        got = [int(v) for vals in analysis._bulk_randrange(rnd, n, m) for v in vals]
+        assert got == want
+
+
+def test_large_clique_of_empty_graph():
+    assert analysis.large_clique(Graph(0)) == 0
 
 
 # --- clique stats ----------------------------------------------------------------
