@@ -236,18 +236,19 @@ def large_clique(g: Graph) -> int:
         # state[x] = 2 * (x in the set) + the number of x's complement
         # neighbours in it; a set vertex has none, so state[x] <= 1 exactly
         # when a draw of x can change the set, and 0 when x could join it
-        incur = bit_matrix([cur], n)[0]
-        state = cmat[incur].sum(axis=0, dtype=np.int32) + 2 * incur
+        state = np.zeros(n, dtype=np.int32)
+        for v in bits(cur):
+            state += cmat[v]
+            state[v] += 2
         for draws in _bulk_randrange(rnd, n, LOCAL_SEARCH_ITERS):
             p = 0
             while p < len(draws):
-                can = state[draws[p : p + _SCAN_WINDOW]] <= 1
-                i = int(can.argmax())
-                if not can[i]:
+                hits = (state[draws[p : p + _SCAN_WINDOW]] <= 1).nonzero()[0]
+                if not len(hits):
                     p += _SCAN_WINDOW
                     continue
-                v = int(draws[p + i])
-                p += i + 1
+                p += int(hits[0]) + 1
+                v = int(draws[p - 1])
                 nb = cadj[v] & cur
                 state += cmat[v]
                 state[v] += 2
