@@ -123,6 +123,11 @@ LOCAL_SEARCH_ORDERS = (151, 255, 256, 257, 400)
 @pytest.fixture(scope="module")
 def local_search_graphs():
     tfp = [triangle_free_process_complement(n, trial_rng(707, n)) for n in LOCAL_SEARCH_ORDERS]
+    # TFP(160) less a tenth of its edges: alpha > 2, so the complement has
+    # triangles and the order of the re-adds after a swap changes the mask
+    rng = trial_rng(9, 1)
+    edges = triangle_free_process_complement(160, trial_rng(707, 160)).edges()
+    tfp.append(Graph(160, [e for e in edges if rng.random() >= 0.1]))
     degenerate = [k_n(160), Graph(160), two_clique_complement(80, 80), c5_blowup_complement(32)]
     return tfp, degenerate
 
