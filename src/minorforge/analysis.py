@@ -193,8 +193,7 @@ def _bulk_randrange(rnd: random.Random, n: int, count: int):
     shift = 32 - n.bit_length()
     while count > 0:
         raw = rnd.getrandbits(32 * _DRAW_BLOCK).to_bytes(4 * _DRAW_BLOCK, "little")
-        words = np.frombuffer(raw, "<u4")
-        vals = words >> shift
+        vals = np.frombuffer(raw, "<u4") >> shift
         vals = vals[vals < n][:count]
         count -= len(vals)
         yield vals
@@ -247,8 +246,9 @@ def large_clique(g: Graph) -> int:
                 if not len(hits):
                     p += _SCAN_WINDOW
                     continue
-                p += int(hits[0]) + 1
-                v = int(draws[p - 1])
+                i = p + int(hits[0])
+                v = int(draws[i])
+                p = i + 1
                 nb = cadj[v] & cur
                 state += cmat[v]
                 state[v] += 2

@@ -127,23 +127,27 @@ def local_search_graphs():
     # triangles and the order of the re-adds after a swap changes the mask
     rng = trial_rng(9, 1)
     edges = triangle_free_process_complement(160, trial_rng(707, 160)).edges()
-    tfp.append(Graph(160, [e for e in edges if rng.random() >= 0.1]))
+    thinned = Graph(160, [e for e in edges if rng.random() >= 0.1])
     degenerate = [k_n(160), Graph(160), two_clique_complement(80, 80), c5_blowup_complement(32)]
-    return tfp, degenerate
+    return tfp, thinned, degenerate
 
 
 def test_large_clique_matches_reference_search(monkeypatch, local_search_graphs):
-    tfp, degenerate = local_search_graphs
+    tfp, thinned, degenerate = local_search_graphs
     for g in tfp:
         z = analysis.large_clique(g)
         assert z == oracle_large_clique(g, analysis.LOCAL_SEARCH_RESTARTS, analysis.LOCAL_SEARCH_ITERS)
         assert analysis.is_clique(g, z)
     monkeypatch.setattr(analysis, "LOCAL_SEARCH_RESTARTS", 2)
-    # short runs that stop inside the first draw block, just before and just after its end
+    # re-adds of more than one vertex are rare, so give them enough draws
+    monkeypatch.setattr(analysis, "LOCAL_SEARCH_ITERS", 30_000)
+    assert analysis.large_clique(thinned) == oracle_large_clique(thinned, 2, 30_000)
+    # short runs: one draw, and draw counts either side of the block size,
+    # which end in the first or the second block depending on rejections
     block = analysis._DRAW_BLOCK
     for iters in (1, block - 1, block + 1):
         monkeypatch.setattr(analysis, "LOCAL_SEARCH_ITERS", iters)
-        for g in tfp + degenerate:
+        for g in tfp + [thinned] + degenerate:
             z = analysis.large_clique(g)
             assert z == oracle_large_clique(g, 2, iters), (g.n, iters)
             assert analysis.is_clique(g, z)
