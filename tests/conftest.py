@@ -250,3 +250,71 @@ def oracle_large_clique(g: Graph, restarts: int, iters: int) -> int:
             if cursize > best_size:
                 best_size, best_mask = cursize, cur
     return best_mask
+
+
+# --- reference seagull search ----------------------------------------------------
+
+
+def oracle_seagull_partition(g: Graph) -> tuple[tuple[tuple[int, int, int], ...] | None, int]:
+    """The recounting backtracking search that seagulls.seagull_partition
+    must reproduce node for node: (triples or None, search nodes visited).
+    It recounts the unused set's non-edges and scans for the branch vertex
+    at every node; |V| must be a positive multiple of 3.  Its memo of
+    failed sets is unbounded: no instance it is used on gets near
+    seagulls.SEAGULL_MEMO_CAP."""
+    from minorforge.analysis import greedy_clique_lb
+    from minorforge.graph import complement_edge_count
+
+    k = g.n // 3
+    nodes = 0
+    out: list[tuple[int, int, int]] = []
+    failed: set[int] = set()
+
+    def rec(unused: int, k_res: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if not unused:
+            return True
+        if unused in failed:
+            return False
+        if (
+            complement_edge_count(g, unused) < k_res
+            or greedy_clique_lb(g, unused) > 2 * k_res
+        ):
+            failed.add(unused)
+            return False
+        # scarcest vertex first: fewest unused non-neighbours
+        u = -1
+        best = -1
+        rem = unused
+        while rem:
+            v = (rem & -rem).bit_length() - 1
+            rem &= rem - 1
+            d = (unused & ~(g.adj[v] | (1 << v))).bit_count()
+            if u < 0 or d < best:
+                u, best = v, d
+                if d == 0:
+                    break
+        ub = 1 << u
+        rest = unused & ~ub
+        # u as an endpoint: u - mid - b, partner b drawn from the scarce pool
+        for b in bits(rest & ~g.adj[u]):
+            for mid in bits(g.adj[u] & g.adj[b] & rest):
+                out.append((u, mid, b))
+                if rec(rest & ~((1 << mid) | (1 << b)), k_res - 1):
+                    return True
+                out.pop()
+        # u as the midpoint: a - u - b with a < b both adjacent to u, a,b non-adjacent
+        nb = g.adj[u] & rest
+        for a in bits(nb):
+            for boff in bits((nb & ~(g.adj[a] | (1 << a))) >> (a + 1)):
+                b = a + 1 + boff
+                out.append((a, u, b))
+                if rec(rest & ~((1 << a) | (1 << b)), k_res - 1):
+                    return True
+                out.pop()
+        failed.add(unused)
+        return False
+
+    found = rec(g.vertex_mask, k)
+    return (tuple(out) if found else None), nodes

@@ -64,6 +64,7 @@ GRAPHS = {
     "tfp110.txt": ("--family", "tfp", "--n", "110", "--seed", "1"),
     "tfp200.txt": ("--family", "tfp", "--n", "200", "--seed", "1"),
     "c5blowup.txt": ("--family", "c5blowup", "--t", "2"),
+    "k19.txt": ("--named", "k_n", "--order", "19"),
 }
 
 FILE_CASES = [
@@ -86,6 +87,10 @@ FILE_CASES = [
      0, "23fc5ea9524e24a155e3082ab68afa812fb36173de242a7c29a3aafc8c9829ec"),
     (("analyze", "tfp200.txt"),
      0, "0291d2ec406311a9025681f7185b5c4e6bfad4418fa86c42327fd9e6d2ab2ff6"),
+    # the largest complete graph analyze accepts; pinned while min_capacity
+    # was still found by enumerating all 2^19 - 1 cliques
+    (("analyze", "k19.txt"),
+     0, "9604bcff80b4f254d020bb0960e059bd570d69c7ba5cd842e8ebfad476c6b5f0"),
 ]
 
 

@@ -1,11 +1,16 @@
-import pytest
+import random
 
-from conftest import small_alpha2_graphs
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import oracle_seagull_partition, small_alpha2_graphs
 from minorforge import seagulls
 from minorforge.analysis import clique_number, is_alpha_le_2
 from minorforge.errors import BudgetExhausted, TooLarge, WrongOrder
 from minorforge.generators import named_graph, triangle_free_process_complement
-from minorforge.graph import Graph, bits
+from minorforge.graph import Graph, bits, induced_subgraph, mask_of
+from minorforge.pipeline import PipelineConfig, PreparedPipeline
 from minorforge.rng import trial_rng
 from minorforge.seagulls import (
     is_seagull,
@@ -111,9 +116,69 @@ def test_partition_matches_bruteforce_feasibility():
         assert (part is not None) == full, g
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_partition_exists_exactly_when_bruteforce_packing_covers(data):
+    # any graph, not only alpha <= 2: the search is exact on all of them
+    n = data.draw(st.sampled_from(range(0, seagulls.BRUTEFORCE_LIMIT + 1, 3)))
+    density = data.draw(st.sampled_from((0.0, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0)))
+    rnd = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < density])
+    part = seagull_partition(g)
+    assert (part is not None) == (max_disjoint_seagulls_bruteforce(g) == n // 3)
+    if part is not None:
+        _check_partition(g, part)
+
+
 def test_partition_raises_when_node_budget_runs_out(monkeypatch):
     c6 = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
     assert seagull_partition(c6) is not None
     monkeypatch.setattr(seagulls, "SEAGULL_NODE_BUDGET", 1)
     with pytest.raises(BudgetExhausted, match="exceeded 1 nodes"):
         seagull_partition(c6)
+
+
+# --- reference search --------------------------------------------------------------
+
+
+def _leftover_graphs(n, seed, trials):
+    """The graphs PreparedPipeline.run hands to seagull_partition: the
+    vertices left after the clique and the sampled matching."""
+    prep = PreparedPipeline(
+        triangle_free_process_complement(n, trial_rng(seed, 0)),
+        PipelineConfig(lambda_policy="clamped", seed=seed),
+    )
+    out = []
+    for trial in range(trials):
+        covered = mask_of(v for e in prep._sample_matching(trial).edges for v in e)
+        s_mask = prep.g.vertex_mask & ~prep.clique & ~covered
+        out.append(induced_subgraph(prep.g, s_mask)[0])
+    return out
+
+
+def test_seagull_partition_matches_reference_search(monkeypatch):
+    rnd = random.Random(31)
+    graphs = []
+    for _ in range(200):
+        n = rnd.choice(range(3, 22, 3))
+        density = rnd.random()
+        graphs.append(
+            Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < density])
+        )
+    graphs += [g for g in small_alpha2_graphs(60, seed=23, min_n=6, max_n=21) if g.n % 3 == 0]
+    graphs += [k_n(6), named_graph("five_wheel")]
+    graphs += _leftover_graphs(400, 0, 4)
+    found = 0
+    for g in graphs:
+        want, nodes = oracle_seagull_partition(g)
+        # the same search visits the same nodes: it succeeds with exactly
+        # the reference's node count as budget and runs out one node short
+        monkeypatch.setattr(seagulls, "SEAGULL_NODE_BUDGET", nodes)
+        part = seagull_partition(g)
+        assert (None if part is None else part.triples) == want, g
+        monkeypatch.setattr(seagulls, "SEAGULL_NODE_BUDGET", nodes - 1)
+        with pytest.raises(BudgetExhausted):
+            seagull_partition(g)
+        found += part is not None
+    # both outcomes are exercised
+    assert 0 < found < len(graphs)
