@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .analysis import greedy_clique_lb
 from .errors import BudgetExhausted, TooLarge, WrongOrder
-from .graph import Graph, bits, complement_edge_count
+from .graph import Graph, bit_matrix, bits, complement_adj
 
 BRUTEFORCE_LIMIT = 15
 
@@ -51,6 +53,19 @@ class SeagullPartition:
         return "".join(f"s {a + 1} {mid + 1} {b + 1}\n" for a, mid, b in self.triples)
 
 
+def _seagulls_at(g: Graph, u: int, rest: int):
+    """Every seagull of u and two vertices of `rest`, in branching order."""
+    # u as an endpoint: u - mid - b, partner b drawn from the scarce pool
+    for b in bits(rest & ~g.adj[u]):
+        for mid in bits(g.adj[u] & g.adj[b] & rest):
+            yield u, mid, b
+    # u as the midpoint: a - u - b with a < b both adjacent to u, a,b non-adjacent
+    nb = g.adj[u] & rest
+    for a in bits(nb):
+        for boff in bits((nb & ~(g.adj[a] | (1 << a))) >> (a + 1)):
+            yield a, u, a + 1 + boff
+
+
 def seagull_partition(g: Graph) -> SeagullPartition | None:
     """Partition all vertices into |V|/3 seagulls, or None when impossible.
 
@@ -59,19 +74,30 @@ def seagull_partition(g: Graph) -> SeagullPartition | None:
     count (each triple meets a clique in at most two vertices).  Branches on
     the unused vertex with the fewest non-neighbours left (scarcest endpoint
     partners; ties to the lowest index) and memoizes failed states, which
-    keeps generic instances near-greedy.  Raises WrongOrder unless 3 divides
-    |V|, and BudgetExhausted instead of guessing when the budget runs out.
+    keeps generic instances near-greedy.  Both counts are kept up to date as
+    seagulls are placed and taken back rather than recounted at each node,
+    so the branch vertex, its tie-break and the nodes visited are those of
+    a recount.  Raises WrongOrder unless 3 divides |V|, and BudgetExhausted
+    instead of guessing when the budget runs out.
     """
     if g.n % 3 != 0:
         raise WrongOrder(f"|V| = {g.n} is not divisible by 3")
     k = g.n // 3
     if k == 0:
         return SeagullPartition(())
+    cmat = bit_matrix(complement_adj(g), g.n)
+    # d[v]: v's unused non-neighbours, plus g.n once v is used, so argmin
+    # (first minimum: lowest index) only ever picks an unused vertex.
+    # Subtracting row v of `lift` both drops v from its non-neighbours'
+    # counts and lifts v itself by g.n.
+    d = cmat.sum(axis=1, dtype=np.int32)
+    lift = cmat.astype(np.int32)
+    np.fill_diagonal(lift, -g.n)
     nodes = 0
     out: list[tuple[int, int, int]] = []
     failed: set[int] = set()
 
-    def rec(unused: int, k_res: int) -> bool:
+    def rec(unused: int, k_res: int, non_edges: int) -> bool:
         nonlocal nodes
         nodes += 1
         if nodes > SEAGULL_NODE_BUDGET:
@@ -80,48 +106,27 @@ def seagull_partition(g: Graph) -> SeagullPartition | None:
             return True
         if unused in failed:
             return False
-        if (
-            complement_edge_count(g, unused) < k_res
-            or greedy_clique_lb(g, unused) > 2 * k_res
-        ):
+        if non_edges < k_res or greedy_clique_lb(g, unused) > 2 * k_res:
             if len(failed) < SEAGULL_MEMO_CAP:
                 failed.add(unused)
             return False
         # scarcest vertex first: fewest unused non-neighbours
-        u = -1
-        best = -1
-        rem = unused
-        while rem:
-            v = (rem & -rem).bit_length() - 1
-            rem &= rem - 1
-            d = (unused & ~(g.adj[v] | (1 << v))).bit_count()
-            if u < 0 or d < best:
-                u, best = v, d
-                if d == 0:
-                    break
-        ub = 1 << u
-        rest = unused & ~ub
-        # u as an endpoint: u - mid - b, partner b drawn from the scarce pool
-        for b in bits(rest & ~g.adj[u]):
-            for mid in bits(g.adj[u] & g.adj[b] & rest):
-                out.append((u, mid, b))
-                if rec(rest & ~((1 << mid) | (1 << b)), k_res - 1):
-                    return True
-                out.pop()
-        # u as the midpoint: a - u - b with a < b both adjacent to u, a,b non-adjacent
-        nb = g.adj[u] & rest
-        for a in bits(nb):
-            for boff in bits((nb & ~(g.adj[a] | (1 << a))) >> (a + 1)):
-                b = a + 1 + boff
-                out.append((a, u, b))
-                if rec(rest & ~((1 << a) | (1 << b)), k_res - 1):
-                    return True
-                out.pop()
+        u = int(d.argmin())
+        for a, mid, b in _seagulls_at(g, u, unused & ~(1 << u)):
+            # a seagull has one non-edge, which d[a] + d[mid] + d[b] counts twice
+            gone = d.item(a) + d.item(mid) + d.item(b) - 1
+            step = lift[a] + lift[mid] + lift[b]
+            np.subtract(d, step, out=d)
+            out.append((a, mid, b))
+            if rec(unused & ~((1 << a) | (1 << mid) | (1 << b)), k_res - 1, non_edges - gone):
+                return True
+            out.pop()
+            np.add(d, step, out=d)
         if len(failed) < SEAGULL_MEMO_CAP:
             failed.add(unused)
         return False
 
-    if rec(g.vertex_mask, k):
+    if rec(g.vertex_mask, k, int(d.sum()) // 2):
         return SeagullPartition(tuple(out))
     return None
 
