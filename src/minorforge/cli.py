@@ -112,8 +112,14 @@ def _cmd_analyze(args) -> int:
     cap_lb = (g.n - analysis._greedy_coloring_size(g)) / 2.0
     cap_exact = None
     if g.n <= 30:
-        cap, _ = analysis.min_capacity(g)
-        cap_exact = float(cap)
+        # lower bound <= minimum <= the working clique's capacity, so when
+        # the two ends meet there is nothing to enumerate (K_n: both 0);
+        # a clique too large to enumerate is still refused, as before
+        if (1 << k) - 1 <= analysis.CLIQUE_BUDGET and analysis.capacity(g, clique) == cap_lb:
+            cap_exact = cap_lb
+        else:
+            cap, _ = analysis.min_capacity(g)
+            cap_exact = float(cap)
     verdict = "pipeline" if 4 * k < g.n else "large-clique-route"
     rec = {
         "record": "analysis",

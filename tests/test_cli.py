@@ -376,6 +376,20 @@ def test_analyze_refuses_a_large_clique_at_once(capsys, tmp_path):
     assert out == "" and err == f"error: more than {analysis.CLIQUE_BUDGET} cliques\n"
 
 
+def test_analyze_skips_clique_enumeration_when_the_bound_is_met(capsys, tmp_path):
+    # K_19 has 2^19 - 1 nonempty cliques, within the budget; enumerating
+    # them took about 6 s, but the lower bound already equals the working
+    # clique's capacity (both 0)
+    path = tmp_path / "k19.txt"
+    run_cli(capsys, "gen", "--named", "k_n", "--order", "19", "--out", str(path))
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--format", "records")
+    assert time.perf_counter() - start < 0.5
+    assert code == 0
+    rec = records(out)[0]
+    assert rec["min_capacity"] == rec["min_capacity_lower_bound"] == 0.0
+
+
 ERROR_CLASSES = [
     cls for cls in vars(errors).values()
     if isinstance(cls, type) and issubclass(cls, errors.MinorforgeError)
