@@ -86,8 +86,8 @@ def seagull_partition(g: Graph) -> SeagullPartition | None:
     if k == 0:
         return SeagullPartition(())
     # non[v]: v's complement row as 0/1 bytes.  Each placement sums three
-    # rows; an int32 copy of the whole matrix per call raised a 100-trial
-    # batch's peak RSS by about 6 MB at n = 400.
+    # rows: an int32 copy of the whole matrix, made per call, raised peak
+    # RSS by about 6 MB over a few hundred trials at n = 400.
     non = bit_matrix(complement_adj(g), g.n).view(np.int8)
     # d[v]: v's unused non-neighbours; a used vertex stays at g.n or more,
     # so argmin (first minimum: lowest index) only picks unused vertices
