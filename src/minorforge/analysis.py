@@ -468,18 +468,11 @@ def _st_vertex_connectivity(g: Graph, s: int, t: int, cap: int) -> tuple[int, in
             flow += pushed
     if flow >= cap:
         return cap, 0
-    # residual reachability gives the cut
-    seen = [False] * (2 * n)
-    seen[src] = True
-    queue = [src]
-    for u in queue:
-        for e in head[u]:
-            if capa[e] > 0 and not seen[to[e]]:
-                seen[to[e]] = True
-                queue.append(to[e])
+    # the loop ended on a level search that missed the sink, so level holds
+    # the residual reachability from the source, and that gives the cut
     cut = 0
     for v in range(n):
-        if seen[2 * v] and not seen[2 * v + 1]:
+        if level[2 * v] >= 0 and level[2 * v + 1] < 0:
             cut |= 1 << v
     return flow, cut
 

@@ -88,8 +88,9 @@ def missing_fraction_extremal(z: float) -> float:
 def gamma_optimize(tolerance: float = 1e-7) -> tuple[float, float]:
     """Maximise the extremal missing fraction over [0, 1/4]; returns
     (argmax, 1 - maximum).  Coarse grid first (the function is not assumed
-    unimodal), then golden-section refinement."""
-    if tolerance <= 0:
+    unimodal), then golden-section refinement, which also ends once the
+    bracket stops shrinking at float spacing."""
+    if not tolerance > 0:  # NaN included
         raise ValueError("tolerance must be positive")
     grid = np.linspace(0.0, 0.25, 10001)
     vals = _extremal_raw(grid)
@@ -101,7 +102,7 @@ def gamma_optimize(tolerance: float = 1e-7) -> tuple[float, float]:
     d = a + GOLDEN * (b - a)
     fc = _extremal_raw(c)
     fd = _extremal_raw(d)
-    while (b - a) > tolerance:
+    while (b - a) > tolerance and a < c < d < b:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - GOLDEN * (b - a)

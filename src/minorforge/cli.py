@@ -6,7 +6,7 @@ Machine-readable output is line-delimited JSON with sorted keys; identical
 times appear only in text mode to keep records deterministic.
 
 Exit codes: 0 success, 2 input/parse error, 3 ineligible or precondition
-failure, 4 sampler exhaustion.
+failure, 4 sampler, search or memory exhaustion.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ EXIT_INELIGIBLE = 3
 EXIT_EXHAUSTED = 4
 
 _INPUT_ERRORS = (ParseError, UnknownName, UnknownSuite, OSError, ValueError)
-_EXHAUSTED_ERRORS = (RejectionExhausted, NotEnoughEdges, BudgetExhausted)
+_EXHAUSTED_ERRORS = (RejectionExhausted, NotEnoughEdges, BudgetExhausted, MemoryError)
 
 
 def _default_seed() -> int:
@@ -113,9 +113,8 @@ def _cmd_analyze(args) -> int:
     cap_exact = None
     if g.n <= 30:
         # lower bound <= minimum <= the working clique's capacity, so when
-        # the two ends meet there is nothing to enumerate (K_n: both 0);
-        # a clique too large to enumerate is still refused, as before
-        if (1 << k) - 1 <= analysis.CLIQUE_BUDGET and analysis.capacity(g, clique) == cap_lb:
+        # the two ends meet there is nothing to enumerate (K_n: both 0)
+        if analysis.capacity(g, clique) == cap_lb:
             cap_exact = cap_lb
         else:
             cap, _ = analysis.min_capacity(g)

@@ -85,8 +85,6 @@ class PreconditionReport:
     maximum.
     """
 
-    order_even_ge6: bool
-    alpha_le_2: bool
     clique_below_quarter: bool
     lambda_le_half_k_minus_1: bool
     lambda_sq_gt_2n: bool
@@ -101,8 +99,6 @@ class PreconditionReport:
     clique_method: str
 
     FLAGS = (
-        "order_even_ge6",
-        "alpha_le_2",
         "clique_below_quarter",
         "lambda_le_half_k_minus_1",
         "lambda_sq_gt_2n",
@@ -211,9 +207,16 @@ def enumerate_bad_quadruples(g_prime: Graph) -> list[tuple[int, int, int, int]]:
 
 class PreparedPipeline:
     """Instance-level state shared by all trials on one graph: the clique,
-    its statistics, the ground graph for pairings and the lambda value."""
+    its statistics, the ground graph for pairings and the lambda value.
+    Out-of-domain graphs (odd order, |V| < 6, an independent triple) are
+    refused at construction, before the clique search."""
 
     def __init__(self, g: Graph, cfg: PipelineConfig):
+        if g.n % 2 or g.n < 6:
+            raise Ineligible(f"|V| = {g.n} must be even and at least 6")
+        triple = find_independent_triple(g)
+        if triple is not None:
+            raise AlphaTooLarge(f"independent triple {triple}")
         self.g = g
         self.cfg = cfg
         self.clique, self.clique_method = working_clique(g)
@@ -224,11 +227,8 @@ class PreparedPipeline:
         self.x = self.g_prime.n
         self.lam = resolve_lambda(cfg.lambda_policy, self.n, self.k)
         self.bound = compute_bound_report(self.n, self.k, self.stats.a, self.stats.b, self.lam)
-        self.triple = find_independent_triple(g)
         max_nonnb = max((g.n - 1 - g.degree(v) for v in range(g.n)), default=0)
         self.report = PreconditionReport(
-            order_even_ge6=(g.n % 2 == 0 and g.n >= 6),
-            alpha_le_2=self.triple is None,
             clique_below_quarter=(4 * self.k < g.n),
             lambda_le_half_k_minus_1=(0 < self.lam <= Fraction(self.k - 1, 2)),
             lambda_sq_gt_2n=(self.lam * self.lam > 2 * self.n),
@@ -244,19 +244,12 @@ class PreparedPipeline:
         )
 
     def check_eligibility(self) -> None:
-        r = self.report
-        if not r.order_even_ge6:
-            raise Ineligible(f"|V| = {self.g.n} must be even and at least 6")
-        if not r.alpha_le_2:
-            raise AlphaTooLarge(f"independent triple {self.triple}")
-        if not r.clique_below_quarter:
+        if not self.report.clique_below_quarter:
             raise Ineligible(
                 f"clique number {self.k} >= |V|/4 = {self.g.n / 4}: a complete "
                 "minor on |V|/2 vertices exists by the packing characterisation; "
                 "constructing it is out of scope here"
             )
-        if not r.matching_count_nonneg:
-            raise Ineligible(f"n - 2k = {self.n - 2 * self.k} negative")
 
     def _sample_matching(self, trial: int) -> SubMatching:
         rng = trial_rng(self.cfg.seed, trial)
@@ -343,7 +336,8 @@ class PreparedPipeline:
 
 
 def preconditions(g: Graph, cfg: PipelineConfig) -> PreconditionReport:
-    """All hypothesis flags for this (graph, config); never raises."""
+    """All hypothesis flags for this (graph, config); out-of-domain graphs
+    are refused at construction, as by PreparedPipeline."""
     return PreparedPipeline(g, cfg).report
 
 

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -87,6 +89,18 @@ def test_gamma_optimize_beats_endpoints():
 
 def test_gamma_optimize_deterministic():
     assert gamma_optimize(1e-7) == gamma_optimize(1e-7)
+
+
+def test_gamma_optimize_returns_below_float_spacing():
+    # the bracket cannot shrink below float spacing at z*, so a refinement
+    # that waits for it never returns: run it where a timeout can stop it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from minorforge.bounds import gamma_optimize; print(repr(gamma_optimize(1e-300)[0]))"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) == pytest.approx(gamma_optimize(1e-12)[0], abs=1e-9)
 
 
 def test_extremal_fraction_nonnegative_interior_zeros_at_endpoints():

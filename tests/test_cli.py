@@ -11,6 +11,7 @@ from minorforge.cli import main
 from minorforge.generators import triangle_free_process_complement
 from minorforge.graph import (
     BranchDecomposition,
+    Graph,
     from_text,
     mask_of,
     read_graph,
@@ -310,6 +311,7 @@ def run_module(*argv):
         (("mc", "--suite", "pairing-marginals", "--x", "1"), "even ground set"),
         (("mc", "--suite", "pairing-joint", "--x", "2"), "at least 4"),
         (("gen", "--family", "two_clique", "--sizes", "1,2,3"), "needs --sizes"),
+        (("gamma", "--tolerance", "nan"), "tolerance"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, tuple) else v,
 )
@@ -365,15 +367,31 @@ def test_analyze_exits_4_when_clique_budget_runs_out(capsys, monkeypatch, tmp_pa
 
 
 def test_analyze_refuses_a_large_clique_at_once(capsys, tmp_path):
-    # K_22 has 2^22 - 1 nonempty cliques; enumerating a million of them
-    # before giving up took over 12 s
-    path = tmp_path / "k22.txt"
-    run_cli(capsys, "gen", "--named", "k_n", "--order", "22", "--out", str(path))
+    # K_20 on 0-19 plus a clique on 20-29 where 20+i misses only i: alpha
+    # <= 2, over 2^20 cliques, and a lower bound below the working clique's
+    # capacity, so min_capacity must enumerate; enumerating a million
+    # cliques before giving up took over 12 s
+    edges = [(u, v) for u in range(30) for v in range(u + 1, 30) if v != u + 20]
+    path = tmp_path / "k20_plus.txt"
+    write_graph(Graph(30, edges), path)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "analyze", str(path))
     assert time.perf_counter() - start < 2
     assert code == 4
     assert out == "" and err == f"error: more than {analysis.CLIQUE_BUDGET} cliques\n"
+
+
+def test_analyze_answers_k22_from_the_bound(capsys, tmp_path):
+    # K_22 has 2^22 - 1 nonempty cliques, beyond the budget, but the lower
+    # bound already equals the working clique's capacity (both 0)
+    path = tmp_path / "k22.txt"
+    run_cli(capsys, "gen", "--named", "k_n", "--order", "22", "--out", str(path))
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--format", "records")
+    assert time.perf_counter() - start < 0.5
+    assert code == 0
+    rec = records(out)[0]
+    assert rec["min_capacity"] == rec["min_capacity_lower_bound"] == 0.0
 
 
 def test_analyze_skips_clique_enumeration_when_the_bound_is_met(capsys, tmp_path):
@@ -393,9 +411,9 @@ def test_analyze_skips_clique_enumeration_when_the_bound_is_met(capsys, tmp_path
 ERROR_CLASSES = [
     cls for cls in vars(errors).values()
     if isinstance(cls, type) and issubclass(cls, errors.MinorforgeError)
-] + [OSError, ValueError]
+] + [OSError, ValueError, MemoryError]
 INPUT_ERRORS = {"ParseError", "UnknownName", "UnknownSuite", "OSError", "ValueError"}
-EXHAUSTED_ERRORS = {"RejectionExhausted", "NotEnoughEdges", "BudgetExhausted"}
+EXHAUSTED_ERRORS = {"RejectionExhausted", "NotEnoughEdges", "BudgetExhausted", "MemoryError"}
 
 
 @pytest.mark.parametrize("exc_class", ERROR_CLASSES, ids=lambda cls: cls.__name__)

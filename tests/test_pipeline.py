@@ -131,14 +131,13 @@ def test_bad_quadruples_definition():
 
 def test_preconditions_k6_clique_too_large():
     pre = preconditions(k_n(6), PipelineConfig())
-    assert pre.alpha_le_2 and pre.order_even_ge6
     assert not pre.clique_below_quarter
     assert not pre.strict_ok
 
 
 def test_preconditions_odd_order():
-    pre = preconditions(c5_blowup_complement(3), PipelineConfig())  # 15 vertices
-    assert not pre.order_even_ge6
+    with pytest.raises(Ineligible, match=r"\|V\| = 15 must be even and at least 6"):
+        preconditions(c5_blowup_complement(3), PipelineConfig())
 
 
 def test_preconditions_q_recorded_when_invalid():
@@ -195,6 +194,25 @@ def test_pipeline_rejects_alpha3():
 def test_pipeline_rejects_odd_or_small():
     with pytest.raises(Ineligible):
         run_pipeline(named_graph("c5"), PipelineConfig())
+
+
+@pytest.mark.parametrize(
+    "g,error,message",
+    [
+        (c_n(6), AlphaTooLarge, "independent triple (0, 2, 4)"),
+        (named_graph("c5"), Ineligible, "|V| = 5 must be even and at least 6"),
+        (c5_blowup_complement(3), Ineligible, "|V| = 15 must be even and at least 6"),
+    ],
+    ids=["c6", "c5", "c5_blowup_15"],
+)
+def test_out_of_domain_graphs_are_refused_before_the_clique_search(monkeypatch, g, error, message):
+    def no_clique_search(graph):
+        raise AssertionError("working_clique called on an out-of-domain graph")
+
+    monkeypatch.setattr(pipeline, "working_clique", no_clique_search)
+    with pytest.raises(error) as info:
+        PreparedPipeline(g, PipelineConfig())
+    assert str(info.value) == message
 
 
 def test_pipeline_rejection_exhaustion(monkeypatch):
