@@ -407,74 +407,51 @@ def _greedy_coloring_size(g: Graph) -> int:
 def _st_vertex_connectivity(g: Graph, s: int, t: int, cap: int) -> tuple[int, int]:
     """(min(cap, local connectivity), vertex cut mask when value < cap).
 
-    Dinic on the split digraph: v_in -> v_out with capacity one, edges with
-    infinite capacity both ways.  s and t must be distinct non-adjacent.
+    Shortest augmenting paths on the split digraph, where v_in -> v_out has
+    capacity one and each edge gives u_out -> v_in and v_out -> u_in of
+    unbounded capacity.  The flow is kept as masks: into[v] holds the u whose
+    arc u_out -> v_in carries a path, busy the inner vertices a path uses.
+    s and t must be distinct non-adjacent.
     """
-    n = g.n
-    INF = 1 << 30
-    # nodes: 2v = v_in, 2v+1 = v_out
-    head: list[list[int]] = [[] for _ in range(2 * n)]
-    to: list[int] = []
-    capa: list[int] = []
-
-    def add(u, v, c):
-        head[u].append(len(to))
-        to.append(v)
-        capa.append(c)
-        head[v].append(len(to))
-        to.append(u)
-        capa.append(0)
-
-    for v in range(n):
-        add(2 * v, 2 * v + 1, 1 if v not in (s, t) else INF)
-    for u in range(n):
-        for v in bits(g.adj[u]):
-            add(2 * u + 1, 2 * v, INF)
-    src, snk = 2 * s + 1, 2 * t
-    flow = 0
+    adj = g.adj
+    into = [0] * g.n
+    busy = flow = 0
     while flow < cap:
-        # BFS levels
-        level = [-1] * (2 * n)
-        level[src] = 0
-        queue = [src]
-        for u in queue:
-            for e in head[u]:
-                if capa[e] > 0 and level[to[e]] < 0:
-                    level[to[e]] = level[u] + 1
-                    queue.append(to[e])
-        if level[snk] < 0:
-            break
-        it = [0] * (2 * n)
-
-        def dfs(u, pushed):
-            if u == snk:
-                return pushed
-            while it[u] < len(head[u]):
-                e = head[u][it[u]]
-                v = to[e]
-                if capa[e] > 0 and level[v] == level[u] + 1:
-                    got = dfs(v, min(pushed, capa[e]))
-                    if got:
-                        capa[e] -= got
-                        capa[e ^ 1] += got
-                        return got
-                it[u] += 1
-            return 0
-
-        while flow < cap:
-            pushed = dfs(src, INF)
-            if not pushed:
+        # BFS over split nodes: node 2v is v_in, node 2v + 1 is v_out
+        parent = {}
+        queue = [2 * s + 1]
+        reached_in, reached_out = 0, 1 << s
+        for node in queue:
+            v = node >> 1
+            if node & 1:
+                new = (adj[v] | (busy & 1 << v)) & ~reached_in
+                reached_in |= new
+            else:
+                new = (into[v] | (~busy & 1 << v)) & ~reached_out
+                reached_out |= new
+            side = 1 - (node & 1)
+            for u in bits(new):
+                parent[2 * u + side] = node
+                queue.append(2 * u + side)
+            if reached_in >> t & 1:
                 break
-            flow += pushed
-    if flow >= cap:
-        return cap, 0
-    # the loop ended on a level search that missed the sink, so level holds
-    # the residual reachability from the source, and that gives the cut
-    cut = 0
-    for v in range(n):
-        if level[2 * v] >= 0 and level[2 * v + 1] < 0:
-            cut |= 1 << v
-    return flow, cut
+        else:
+            # the search missed t, so the reached masks hold the residual
+            # reachability from s, and that gives the cut
+            return flow, reached_in & ~reached_out
+        node = 2 * t
+        while node != 2 * s + 1:
+            prev = parent[node]
+            u, v = prev >> 1, node >> 1
+            if u == v:
+                busy ^= 1 << v
+            elif prev & 1:
+                into[v] |= 1 << u
+            else:
+                into[u] &= ~(1 << v)
+            node = prev
+        flow += 1
+    return cap, 0
 
 
 def is_k_connected_with_cut(g: Graph, k: int) -> tuple[bool, int | None]:
@@ -487,8 +464,6 @@ def is_k_connected_with_cut(g: Graph, k: int) -> tuple[bool, int | None]:
     if n <= k:
         return False, None
     if k <= 0:
-        return True, None
-    if g.edge_count == n * (n - 1) // 2:
         return True, None
     degs = [g.degree(v) for v in range(n)]
     mind = min(degs)

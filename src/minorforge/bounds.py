@@ -90,8 +90,8 @@ def gamma_optimize(tolerance: float = 1e-7) -> tuple[float, float]:
     (argmax, 1 - maximum).  Coarse grid first (the function is not assumed
     unimodal), then golden-section refinement, which also ends once the
     bracket stops shrinking at float spacing."""
-    if not tolerance > 0:  # NaN included
-        raise ValueError("tolerance must be positive")
+    if not 0 < tolerance < math.inf:  # NaN included
+        raise ValueError("tolerance must be positive and finite")
     grid = np.linspace(0.0, 0.25, 10001)
     vals = _extremal_raw(grid)
     i = int(np.argmax(vals))

@@ -11,6 +11,7 @@ triple) or two matching pairs spanning no edge (a realized bad quadruple).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -70,8 +71,11 @@ class PipelineConfig:
         if isinstance(self.lambda_policy, str):
             if self.lambda_policy not in ("n23", "clamped"):
                 raise ValueError(f"unknown lambda policy {self.lambda_policy!r}")
-        elif Fraction(self.lambda_policy) <= 0:
+        elif (lam := Fraction(self.lambda_policy)) <= 0:
             raise ValueError("explicit lambda must be positive")
+        elif lam > sys.float_info.max or float(lam) * float(lam) == 0:
+            # the bound report takes 2n / lambda^2 in floats
+            raise ValueError("explicit lambda must be a finite float with a nonzero float square")
 
 
 @dataclass(frozen=True)

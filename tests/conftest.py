@@ -72,6 +72,30 @@ def brute_is_k_connected(g: Graph, k: int) -> bool:
     return True
 
 
+def brute_st_cut(g: Graph, s: int, t: int) -> int:
+    """The smallest vertex set separating non-adjacent s and t and, among
+    sets of that size, the one whose s-side component is smallest (the
+    s-sides of minimum cuts are closed under intersection, so it is unique);
+    found by enumerating sets by size and searching from s around each."""
+    inner = [v for v in range(g.n) if v not in (s, t)]
+    for size in range(len(inner) + 1):
+        best = None
+        for cut in combinations(inner, size):
+            blocked = mask_of(cut)
+            side, frontier = 1 << s, 1 << s
+            while frontier:
+                reach = 0
+                for v in bits(frontier):
+                    reach |= g.adj[v]
+                frontier = reach & ~side & ~blocked
+                side |= frontier
+            if not side >> t & 1 and (best is None or side.bit_count() < best[0]):
+                best = (side.bit_count(), blocked)
+        if best is not None:
+            return best[1]
+    raise AssertionError("s and t are adjacent")
+
+
 def small_alpha2_graphs(count: int, seed: int = 0, min_n: int = 6, max_n: int = 12):
     """Deterministic mix of alpha<=2 instances of order min_n..max_n."""
     from minorforge.generators import (

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,6 +10,7 @@ from conftest import (
     brute_matching_size,
     brute_max_clique_size,
     brute_max_independent_size,
+    brute_st_cut,
     oracle_large_clique,
     small_alpha2_graphs,
 )
@@ -273,6 +275,27 @@ def test_connectivity_cut_is_real_cut():
                 assert cut.bit_count() < k
                 rest = g.vertex_mask & ~cut
                 assert rest and not is_connected_subset(g, rest)
+
+
+def test_st_connectivity_matches_the_cut_oracle():
+    """Value min(cap, kappa(s, t)); below cap, the cut nearest s."""
+    for i in range(40):
+        g = random_graph(2 + i % 8, (0.2, 0.4, 0.6, 0.8)[i // 8 % 4], 1300 + i)
+        for s, t in combinations(range(g.n), 2):
+            if g.has_edge(s, t):
+                continue
+            cut = brute_st_cut(g, s, t)
+            kappa = cut.bit_count()
+            for cap in range(1, g.n + 1):
+                want = (kappa, cut) if kappa < cap else (cap, 0)
+                assert analysis._st_vertex_connectivity(g, s, t, cap) == want, (i, s, t, cap)
+
+
+def test_connectivity_of_a_long_path_needs_no_recursion():
+    g = Graph(500, [(i, i + 1) for i in range(499)])
+    t0 = time.perf_counter()
+    assert is_k_connected(g, 1) is True
+    assert time.perf_counter() - t0 < 2.0
 
 
 # --- matching ----------------------------------------------------------------------

@@ -312,11 +312,15 @@ def run_module(*argv):
         (("mc", "--suite", "pairing-joint", "--x", "2"), "at least 4"),
         (("gen", "--family", "two_clique", "--sizes", "1,2,3"), "needs --sizes"),
         (("gamma", "--tolerance", "nan"), "tolerance"),
+        (("gamma", "--tolerance", "inf"), "tolerance"),
+        (("build-minor", "GRAPH", "--lambda", "1e400"), "lambda"),
+        (("build-minor", "GRAPH", "--lambda", "1e-320"), "lambda"),
+        (("build-minor", "GRAPH", "--lambda", "1e-400"), "lambda"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, tuple) else v,
 )
-def test_misuse_exits_2_with_one_line(argv, says):
-    proc = run_module(*argv)
+def test_misuse_exits_2_with_one_line(argv, says, instance_file):
+    proc = run_module(*(instance_file if a == "GRAPH" else a for a in argv))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

@@ -1,0 +1,19 @@
+"""Every demo script runs to completion: they read public fields of the
+library (pre.lam, pre.q, res.m_star.edges, ...) that a refactor could drop."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("script", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
+def test_demo_runs(script):
+    proc = subprocess.run(
+        [sys.executable, str(script)], cwd=ROOT, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
