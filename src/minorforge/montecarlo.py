@@ -167,12 +167,15 @@ def expectation_bound(
     """
     if instances < 1:
         raise ValueError(f"instances must be at least 1, got {instances}")
+    _check_trials(trials)
+    if trials < instances:
+        raise ValueError(f"trials must be at least instances ({instances}), got {trials}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if any(s < 6 or s % 2 for s in sizes):
         raise ValueError(f"sizes must be even and at least 6 to be strict-eligible, got {sizes}")
     eligible = _eligible_instances(sizes, instances, seed, sweep_limit)
-    run = partial(_instance_record, trials=max(1, trials // instances))
+    run = partial(_instance_record, trials=trials // instances)
     if jobs > 1:
         eligible = list(eligible)
     if jobs > 1 and eligible:

@@ -303,6 +303,9 @@ def run_module(*argv):
         (("mc", "--suite", "pairing-joint", "--trials", "0"), "trials"),
         (("mc", "--suite", "chebyshev", "--trials", "0"), "trials"),
         (("mc", "--suite", "expectation-bound", "--instances", "0"), "instances"),
+        (("mc", "--suite", "expectation-bound", "--trials", "0"), "trials"),
+        (("mc", "--suite", "expectation-bound", "--trials", "-2"), "trials"),
+        (("mc", "--suite", "expectation-bound", "--trials", "3", "--instances", "5"), "trials"),
         (("mc", "--suite", "expectation-bound", "--jobs", "0"), "jobs"),
         (("mc", "--suite", "expectation-bound", "--jobs", "-3"), "jobs"),
         (("mc", "--suite", "expectation-bound", "--sizes", "110,7"), "even and at least 6"),
