@@ -59,24 +59,35 @@ def row_masks(mat: np.ndarray) -> list[int]:
     return [int.from_bytes(raw[i : i + width], "little") for i in range(0, rows * width, width)]
 
 
-def _or_over_parts(mat: np.ndarray, parts) -> np.ndarray:
-    """rows x len(parts) bool matrix whose column i ORs the columns of mat
-    (one per host vertex) at the vertices of parts[i]; parts are nonempty.
+def _part_listing(parts) -> list[tuple[int, list[int], np.ndarray]]:
+    """(size, part indices, their vertices part after part) for each part
+    size, in order of first appearance; parts are nonempty."""
+    by_size: dict[int, tuple[list[int], list[int]]] = {}
+    for i, p in enumerate(parts):
+        which, verts = by_size.setdefault(p.bit_count(), ([], []))
+        which.append(i)
+        while p:
+            low = p & -p
+            verts.append(low.bit_length() - 1)
+            p ^= low
+    return [(s, which, np.array(verts, dtype=np.intp)) for s, (which, verts) in by_size.items()]
 
-    Parts of one size are done together: with their vertices listed part
-    after part, column slice o::s holds the o-th vertex of every part of
+
+def _or_rows_over_parts(mat: np.ndarray, listing, count: int) -> np.ndarray:
+    """count x cols bool matrix whose row i ORs the rows of mat (one per
+    host vertex) at the vertices of part i; listing is _part_listing's.
+
+    Parts of one size are done together: with their vertices' rows gathered
+    part after part, row slice o::s holds the o-th vertex of every part of
     size s, so s whole-slice ORs cover them all.
     """
-    out = np.zeros((mat.shape[0], len(parts)), dtype=bool)
-    by_size: dict[int, list[int]] = {}
-    for i, p in enumerate(parts):
-        by_size.setdefault(p.bit_count(), []).append(i)
-    for s, which in by_size.items():
-        cols = mat[:, [v for i in which for v in bits(parts[i])]]
-        acc = cols[:, 0::s].copy()
+    out = np.zeros((count, mat.shape[1]), dtype=bool)
+    for s, which, verts in listing:
+        rows = mat[verts]
+        acc = rows[0::s]
         for o in range(1, s):
-            acc |= cols[:, o::s]
-        out[:, which] = acc
+            acc |= rows[o::s]
+        out[which] = acc
     return out
 
 
@@ -200,6 +211,23 @@ def is_connected_subset(g: Graph, subset: int) -> bool:
     return bool(subset) and reach_within(g.adj, subset & -subset, subset) == subset
 
 
+def _first_disconnected(g: Graph, parts, linked) -> int | None:
+    """Index of the first part that induces a disconnected subgraph, or None.
+
+    linked[i] says whether each vertex of part i has a neighbour inside it.
+    A part of at most 3 vertices is connected exactly when it is one vertex
+    or linked; larger parts are searched.
+    """
+    for i, p in enumerate(parts):
+        size = p.bit_count()
+        if size <= 3:
+            if size > 1 and not linked[i]:
+                return i
+        elif not is_connected_subset(g, p):
+            return i
+    return None
+
+
 @dataclass(frozen=True)
 class BranchDecomposition:
     """Pairwise-disjoint vertex masks of a host graph, one per minor vertex.
@@ -232,17 +260,25 @@ def contract(g: Graph, d: BranchDecomposition) -> Graph:
     (singletons included); uncovered vertices are simply deleted."""
     if d.host is not g and d.host != g:
         raise InvalidDecomposition("decomposition built for a different host")
-    for i, p in enumerate(d.parts):
-        if not is_connected_subset(g, p):
-            raise InvalidDecomposition(f"part {i} induces a disconnected subgraph")
+    listing = _part_listing(d.parts)
+    # reach[i]: the vertices adjacent to part i, its neighbour masks ORed
+    # slice by slice as in _or_rows_over_parts
     reach = [0] * len(d.parts)
-    for i, p in enumerate(d.parts):
-        r = 0
-        for v in bits(p):
-            r |= g.adj[v]
-        reach[i] = r
-    # h[i, j]: part i reaches some vertex of part j
-    h = _or_over_parts(bit_matrix(reach, g.n), d.parts)
+    for s, which, verts in listing:
+        nbrs = [g.adj[v] for v in verts.tolist()]
+        acc = nbrs[0::s]
+        for o in range(1, s):
+            acc = [a | b for a, b in zip(acc, nbrs[o::s])]
+        for i, r in zip(which, acc):
+            reach[i] = r
+    i = _first_disconnected(g, d.parts, [not p & ~r for p, r in zip(d.parts, reach)])
+    if i is not None:
+        raise InvalidDecomposition(f"part {i} induces a disconnected subgraph")
+    # h[i, j]: part i reaches some vertex of part j.  Row v of reach's
+    # transpose holds the parts that reach host vertex v, so ORing those rows
+    # over part j's vertices gives column j of h, which is its row j because
+    # the host, and so h, is symmetric.
+    h = _or_rows_over_parts(np.ascontiguousarray(bit_matrix(reach, g.n).T), listing, len(d.parts))
     np.fill_diagonal(h, False)
     return Graph.from_adj(row_masks(h))
 
@@ -254,26 +290,33 @@ def minor_violation(g: Graph, h: Graph, d: BranchDecomposition) -> str | None:
     """
     if len(d.parts) != h.n:
         return f"part_count: {len(d.parts)} parts for {h.n} minor vertices"
+    full = g.vertex_mask
     seen = 0
     for i, p in enumerate(d.parts):
         if p == 0:
             return f"empty_part: {i}"
-        if p & ~g.vertex_mask:
+        if p & ~full:
             return f"out_of_range: part {i}"
         if p & seen:
             return f"overlap: part {i}"
         seen |= p
-    for i, p in enumerate(d.parts):
-        if not is_connected_subset(g, p):
-            return f"disconnected_part: {i}"
-    # joined[i, j]: some g-edge runs between parts i and j, from the host's
-    # adjacency alone (OR over each part's columns, then over its rows)
-    near = _or_over_parts(bit_matrix(g.adj, g.n), d.parts)
-    joined = _or_over_parts(near.T, d.parts)
-    missing = np.triu(bit_matrix(h.adj, h.n) & ~joined, 1)
-    if missing.any():
-        i, j = np.argwhere(missing)[0]  # row-major: h.edges() order
-        return f"missing_cross_edge: ({i},{j})"
+    # near[i]: the host vertices adjacent to part i, from the host's bit
+    # matrix alone (OR over the part's rows); joined[i, j]: some g-edge runs
+    # between parts i and j (near's columns, as rows, ORed over part j)
+    listing = _part_listing(d.parts)
+    near = _or_rows_over_parts(bit_matrix(g.adj, g.n), listing, len(d.parts))
+    linked = np.empty(len(d.parts), dtype=bool)
+    for s, which, verts in listing:
+        linked[which] = near[np.repeat(which, s), verts].reshape(-1, s).all(axis=1)
+    i = _first_disconnected(g, d.parts, linked.tolist())
+    if i is not None:
+        return f"disconnected_part: {i}"
+    joined = _or_rows_over_parts(np.ascontiguousarray(near.T), listing, len(d.parts))
+    rows, cols = np.nonzero(bit_matrix(h.adj, h.n) & ~joined)  # row-major
+    upper = cols > rows
+    if upper.any():
+        first = upper.argmax()  # the first in h.edges() order
+        return f"missing_cross_edge: ({rows[first]},{cols[first]})"
     return None
 
 

@@ -194,21 +194,21 @@ def oracle_minor_violation(n: int, edges, h_n: int, h_edges, parts) -> str | Non
     fail to witness the minor (h_n, h_edges) of (n, edges); None if they do."""
     if len(parts) != h_n:
         return f"part_count: {len(parts)} parts for {h_n} minor vertices"
+    vs = [members(p) for p in parts]
     used: set[int] = set()
-    for i, p in enumerate(parts):
-        vs = members(p)
-        if not vs:
+    for i in range(len(parts)):
+        if not vs[i]:
             return f"empty_part: {i}"
-        if vs[-1] >= n:
+        if vs[i][-1] >= n:
             return f"out_of_range: part {i}"
-        if used & set(vs):
+        if used & set(vs[i]):
             return f"overlap: part {i}"
-        used |= set(vs)
-    for i, p in enumerate(parts):
-        if not oracle_connected(edges, members(p)):
+        used |= set(vs[i])
+    for i in range(len(parts)):
+        if not oracle_connected(edges, vs[i]):
             return f"disconnected_part: {i}"
     for i, j in sorted(h_edges):
-        if not oracle_joined(edges, members(parts[i]), members(parts[j])):
+        if not oracle_joined(edges, vs[i], vs[j]):
             return f"missing_cross_edge: ({i},{j})"
     return None
 

@@ -5,6 +5,7 @@ changes between 7/8/9 and 63/64/65 vertices) and once with a drawn order.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,8 @@ from conftest import (
     oracle_neighbours,
     vertex_mask,
 )
+from minorforge.errors import InvalidDecomposition
+from minorforge.generators import triangle_free_process_complement
 from minorforge.graph import (
     BranchDecomposition,
     Graph,
@@ -30,6 +33,8 @@ from minorforge.graph import (
     row_masks,
     to_text,
 )
+from minorforge.pipeline import PipelineConfig, PreparedPipeline
+from minorforge.rng import trial_rng
 
 BYTE_EDGE_ORDERS = (0, 1, 7, 8, 9, 63, 64, 65)
 MAX_DRAWN_ORDER = 70
@@ -103,7 +108,33 @@ def test_contract_matches_oracle(order, data):
     assert h == Graph(len(parts), oracle_contract(edges, parts))
 
 
-MUTATIONS = ("none", "remove_edge", "add_edge", "empty", "overlap", "out_of_range", "disconnected")
+# disconnected parts: two non-adjacent vertices; two disjoint edges with no
+# edge between them and one edge plus a vertex adjacent to neither end, the
+# 4- and 3-vertex parts where the question is whether every vertex has a
+# neighbour inside the part
+DISCONNECTED = ("disconnected", "two_edges", "edge_and_vertex")
+MUTATIONS = ("none", "remove_edge", "add_edge", "empty", "overlap", "out_of_range") + DISCONNECTED
+
+
+def disconnected_part(kind, n, edges, parts, rnd) -> int:
+    """A part of the given disconnected kind on vertices no part covers, or
+    0 when there is none (for the two edge kinds: none in 200 random tries)."""
+    covered = vertex_mask(v for p in parts for v in members(p))
+    free = [v for v in range(n) if not (covered >> v) & 1]
+    if kind == "disconnected":
+        apart = [(u, v) for u, v in combinations(free, 2) if (u, v) not in edges]
+        return vertex_mask(rnd.choice(apart)) if apart else 0
+    inner = [(u, v) for u, v in combinations(free, 2) if (u, v) in edges]
+    if not inner:
+        return 0
+    for _ in range(200):
+        edge = rnd.choice(inner)
+        other = rnd.choice(inner) if kind == "two_edges" else (rnd.choice(free),)
+        if set(edge) & set(other):
+            continue
+        if all((min(u, v), max(u, v)) not in edges for u in edge for v in other):
+            return vertex_mask(edge + other)
+    return 0
 
 
 def mutate(kind, n, edges, parts, h_edges, rnd):
@@ -132,17 +163,10 @@ def mutate(kind, n, edges, parts, h_edges, rnd):
             parts[rnd.randrange(k)] |= extra
         else:
             parts = [extra]
-    elif kind == "disconnected":
-        covered = vertex_mask(v for p in parts for v in members(p))
-        apart = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if (u, v) not in edges and not (covered >> u) & 1 and not (covered >> v) & 1
-        ]
-        if apart:
-            u, v = rnd.choice(apart)
-            parts.insert(rnd.randint(0, k), (1 << u) | (1 << v))
+    elif kind in DISCONNECTED:
+        part = disconnected_part(kind, n, edges, parts, rnd)
+        if part:
+            parts.insert(rnd.randint(0, k), part)
     if len(parts) != k:
         # keep the part count equal to the minor's order so the structural
         # check, not part_count, is what reports the defect
@@ -164,6 +188,52 @@ def test_minor_violation_matches_oracle(kind, order, data):
     assert minor_violation(g, h, unchecked_decomposition(g, parts)) == expected
     if kind in ("none", "remove_edge"):
         assert expected is None
+
+
+@pytest.mark.parametrize("kind", DISCONNECTED)
+@ORDERS
+@PROPERTY
+@given(data=st.data())
+def test_contract_refuses_the_oracles_first_disconnected_part(kind, order, data):
+    g, edges, rnd = draw_graph(data, order)
+    parts = random_decomposition(g.n, edges, rnd)
+    for _ in range(2):  # up to two disconnected parts, so "first" is tested
+        parts, _ = mutate(kind, g.n, edges, parts, set(), rnd)
+    d = BranchDecomposition(host=g, parts=tuple(parts))
+    expected = oracle_minor_violation(g.n, edges, len(parts), set(), parts)
+    if expected is None:
+        assert contract(g, d) == Graph(len(parts), oracle_contract(edges, parts))
+        return
+    assert expected.startswith("disconnected_part: ")
+    i = expected.removeprefix("disconnected_part: ")
+    with pytest.raises(InvalidDecomposition, match=f"^part {i} induces a disconnected subgraph$"):
+        contract(g, d)
+
+
+def test_contract_and_minor_violation_match_oracles_on_tfp400_trials():
+    # the properties draw hosts of at most MAX_DRAWN_ORDER vertices; these
+    # are the decompositions a TFP(400) batch contracts and re-checks
+    prep = PreparedPipeline(
+        triangle_free_process_complement(400, trial_rng(0, 0)),
+        PipelineConfig(lambda_policy="clamped", seed=0),
+    )
+    g = prep.g
+    edges = set(g.edges())
+    rnd = random.Random(400)
+    for trial in range(3):
+        parts = prep.run(trial).decomposition.parts
+        assert {p.bit_count() for p in parts} == {1, 2, 3}
+        d = BranchDecomposition(host=g, parts=parts)
+        h_edges = oracle_contract(edges, parts)
+        h = contract(g, d)
+        assert h == Graph(len(parts), h_edges)
+        assert minor_violation(g, h, d) is None
+        assert oracle_minor_violation(g.n, edges, h.n, h_edges, parts) is None
+        absent = [(i, j) for i, j in combinations(range(h.n), 2) if (i, j) not in h_edges]
+        extra = h_edges | {rnd.choice(absent)}
+        expected = oracle_minor_violation(g.n, edges, h.n, extra, parts)
+        assert expected.startswith("missing_cross_edge: ")
+        assert minor_violation(g, Graph(h.n, extra), d) == expected
 
 
 @ORDERS
