@@ -66,12 +66,31 @@ def _seagulls_at(g: Graph, u: int, rest: int):
             yield a, u, a + 1 + boff
 
 
+def _clique_bound(d: np.ndarray, size: int, non_edges: int) -> int:
+    """Upper bound on the clique number of a seagull-search node's unused set.
+
+    The set has `size` vertices and `non_edges` non-adjacent pairs; d holds
+    each unused vertex's count of unused non-neighbours and, for each used
+    vertex, a value of at least `size`.  A clique misses an end of every
+    non-edge, so it leaves out at least the fewest unused vertices whose d
+    values sum to non_edges: the bound is `size` less that count.
+    """
+    if not non_edges:
+        return size
+    # sorted, the unused values come first; these are they, largest first
+    largest = np.sort(d)[size - 1 :: -1].cumsum()
+    return size - 1 - int(largest.searchsorted(non_edges))
+
+
 def seagull_partition(g: Graph) -> SeagullPartition | None:
     """Partition all vertices into |V|/3 seagulls, or None when impossible.
 
     Exhaustive backtracking with sound pruning only: too few non-adjacent
     pairs left, or a clique certified to exceed twice the remaining triple
-    count (each triple meets a clique in at most two vertices).  Branches on
+    count (each triple meets a clique in at most two vertices).  The clique
+    is searched greedily, and only where a bound from the non-neighbour
+    counts leaves room for one that large, so the search is skipped only
+    where it cannot prune.  Branches on
     the unused vertex with the fewest non-neighbours left (scarcest endpoint
     partners; ties to the lowest index) and memoizes failed states, which
     keeps generic instances near-greedy.  Both counts are kept up to date as
@@ -105,7 +124,12 @@ def seagull_partition(g: Graph) -> SeagullPartition | None:
             return True
         if unused in failed:
             return False
-        if non_edges < k_res or greedy_clique_lb(g, unused) > 2 * k_res:
+        # greedy_clique_lb(g, unused) is at most the clique bound, so it can
+        # only prune where the bound exceeds 2 * k_res
+        if non_edges < k_res or (
+            _clique_bound(d, 3 * k_res, non_edges) > 2 * k_res
+            and greedy_clique_lb(g, unused) > 2 * k_res
+        ):
             if len(failed) < SEAGULL_MEMO_CAP:
                 failed.add(unused)
             return False

@@ -1,18 +1,22 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_seagull_partition, small_alpha2_graphs
-from minorforge import seagulls
+import numpy as np
+
+from conftest import brute_max_clique_size, oracle_seagull_partition, small_alpha2_graphs
+from minorforge import analysis, seagulls
 from minorforge.analysis import clique_number, is_alpha_le_2
 from minorforge.errors import BudgetExhausted, TooLarge, WrongOrder
 from minorforge.generators import named_graph, triangle_free_process_complement
-from minorforge.graph import Graph, bits, induced_subgraph, mask_of
+from minorforge.graph import Graph, bits, complement_edge_count, induced_subgraph, mask_of
 from minorforge.pipeline import PipelineConfig, PreparedPipeline
 from minorforge.rng import trial_rng
 from minorforge.seagulls import (
+    _clique_bound,
     is_seagull,
     max_disjoint_seagulls_bruteforce,
     seagull_partition,
@@ -138,6 +142,37 @@ def test_partition_raises_when_node_budget_runs_out(monkeypatch):
         seagull_partition(c6)
 
 
+ALPHA2_UP_TO_15 = small_alpha2_graphs(40, seed=24, min_n=3, max_n=15)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_clique_bound_is_at_least_the_clique_number(data):
+    # the counts the search keeps for an unused set: d per unused vertex,
+    # a value of at least |unused| per used one, and the non-edge count
+    if data.draw(st.booleans()):
+        g = data.draw(st.sampled_from(ALPHA2_UP_TO_15))
+    else:
+        n = data.draw(st.integers(0, seagulls.BRUTEFORCE_LIMIT))
+        density = data.draw(st.sampled_from((0.0, 0.2, 0.5, 0.8, 0.95, 1.0)))
+        rnd = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < density])
+    unused = data.draw(st.integers(0, g.vertex_mask))
+    size = unused.bit_count()
+    d = np.array(
+        [
+            (unused & ~(g.adj[v] | (1 << v))).bit_count()
+            if (unused >> v) & 1
+            else size + data.draw(st.integers(0, 20))
+            for v in range(g.n)
+        ],
+        dtype=np.int32,
+    )
+    bound = _clique_bound(d, size, complement_edge_count(g, unused))
+    assert bound >= brute_max_clique_size(induced_subgraph(g, unused)[0])
+    assert bound <= size
+
+
 # --- reference search --------------------------------------------------------------
 
 
@@ -167,18 +202,48 @@ def test_seagull_partition_matches_reference_search(monkeypatch):
         )
     graphs += [g for g in small_alpha2_graphs(60, seed=23, min_n=6, max_n=21) if g.n % 3 == 0]
     graphs += [k_n(6), named_graph("five_wheel")]
+    # graphs where the clique prune fires: K_9 plus three isolated vertices,
+    # and 12-vertex graphs with a planted 9-clique (K_9 alone is pruned by
+    # its non-edge count first)
+    graphs += [k_n(9), Graph(12, k_n(9).edges())]
+    for _ in range(10):
+        clique = rnd.sample(range(12), 9)
+        graphs.append(
+            Graph(12, {(min(u, v), max(u, v)) for u in clique for v in clique if u != v}
+                  | {(u, v) for u in range(12) for v in range(u + 1, 12) if rnd.random() < 0.5})
+        )
     graphs += _leftover_graphs(400, 0, 4)
+    # greedy_clique_lb: the reference calls it at every node it does not
+    # prune by non-edge count, the search only where the bound leaves room;
+    # it fires when it finds more than 2 * k_res = 2/3 |alive| vertices
+    calls = Counter()
+    greedy_clique_lb = analysis.greedy_clique_lb
+
+    def counted(who):
+        def greedy(h, alive):
+            lb = greedy_clique_lb(h, alive)
+            calls[who] += 1
+            calls[who, "fired"] += 3 * lb > 2 * alive.bit_count()
+            return lb
+        return greedy
+
+    monkeypatch.setattr(analysis, "greedy_clique_lb", counted("reference"))
     found = 0
     for g in graphs:
         want, nodes = oracle_seagull_partition(g)
         # the same search visits the same nodes: it succeeds with exactly
         # the reference's node count as budget and runs out one node short
         monkeypatch.setattr(seagulls, "SEAGULL_NODE_BUDGET", nodes)
+        monkeypatch.setattr(seagulls, "greedy_clique_lb", counted("search"))
         part = seagull_partition(g)
+        monkeypatch.setattr(seagulls, "greedy_clique_lb", greedy_clique_lb)
         assert (None if part is None else part.triples) == want, g
         monkeypatch.setattr(seagulls, "SEAGULL_NODE_BUDGET", nodes - 1)
         with pytest.raises(BudgetExhausted):
             seagull_partition(g)
         found += part is not None
-    # both outcomes are exercised
+    # both outcomes are exercised, and the clique prune is both skipped and
+    # tried, and it fires
     assert 0 < found < len(graphs)
+    assert 0 < calls["search"] < calls["reference"]
+    assert calls["search", "fired"] == calls["reference", "fired"] > 0
