@@ -66,7 +66,7 @@ def _part_listing(parts) -> list[tuple[int, list[int], np.ndarray]]:
     for i, p in enumerate(parts):
         which, verts = by_size.setdefault(p.bit_count(), ([], []))
         which.append(i)
-        while p:
+        while p:  # bits(p) inlined: a generator per part cost more than this loop
             low = p & -p
             verts.append(low.bit_length() - 1)
             p ^= low

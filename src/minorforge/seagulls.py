@@ -77,7 +77,7 @@ def _clique_bound(d: np.ndarray, size: int, non_edges: int) -> int:
     """
     if not non_edges:
         return size
-    # sorted, the unused values come first; these are they, largest first
+    # unused values sort below used ones: the first `size`, largest first
     largest = np.sort(d)[size - 1 :: -1].cumsum()
     return size - 1 - int(largest.searchsorted(non_edges))
 
@@ -90,14 +90,14 @@ def seagull_partition(g: Graph) -> SeagullPartition | None:
     count (each triple meets a clique in at most two vertices).  The clique
     is searched greedily, and only where a bound from the non-neighbour
     counts leaves room for one that large, so the search is skipped only
-    where it cannot prune.  Branches on
-    the unused vertex with the fewest non-neighbours left (scarcest endpoint
-    partners; ties to the lowest index) and memoizes failed states, which
-    keeps generic instances near-greedy.  Both counts are kept up to date as
-    seagulls are placed and taken back rather than recounted at each node,
-    so the branch vertex, its tie-break and the nodes visited are those of
-    a recount.  Raises WrongOrder unless 3 divides |V|, and BudgetExhausted
-    instead of guessing when the budget runs out.
+    where it cannot prune.  Branches on the unused vertex with the fewest
+    non-neighbours left (scarcest endpoint partners; ties to the lowest
+    index) and memoizes failed states, which keeps generic instances
+    near-greedy.  Both counts are kept up to date as seagulls are placed
+    and taken back rather than recounted at each node, so the branch vertex,
+    its tie-break and the nodes visited are those of a recount.  Raises
+    WrongOrder unless 3 divides |V|, and BudgetExhausted instead of guessing
+    when the budget runs out.
     """
     if g.n % 3 != 0:
         raise WrongOrder(f"|V| = {g.n} is not divisible by 3")
