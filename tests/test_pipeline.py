@@ -12,6 +12,7 @@ from minorforge.analysis import clique_stats, max_clique
 from minorforge.errors import (
     AlphaTooLarge,
     Ineligible,
+    MinorforgeError,
     NotCertifiable,
     RejectionExhausted,
 )
@@ -259,6 +260,26 @@ def test_accounting_identity(instance, trial, prepared110, advisory110, prepared
     assert set(kinds) <= {(1, 2), (2, 2)}
     assert kinds.count((1, 2)) == res.realized_bad_triples
     assert kinds.count((2, 2)) == res.realized_bad_quadruples
+
+
+@pytest.mark.parametrize("kind", ["clique-clique", "clique-pair", "pair-pair", "pair-seagull"])
+def test_accounting_catches_a_dropped_minor_edge(monkeypatch, prepared240, kind):
+    # a contract that loses one host-joined edge still passes the witness
+    # re-check (h stays inside the host's joins); only the accounting sees it
+    k, n = prepared240.k, prepared240.n
+    block = {"clique": range(k), "pair": range(k, n - k), "seagull": range(n - k, n)}
+    first, second = (block[b] for b in kind.split("-"))
+    real_contract = pipeline.contract
+
+    def dropping_contract(g, d):
+        h = real_contract(g, d)
+        edges = list(h.edges())
+        drop = next(e for e in edges if e[0] in first and e[1] in second)
+        return Graph(h.n, [e for e in edges if e != drop])
+
+    monkeypatch.setattr(pipeline, "contract", dropping_contract)
+    with pytest.raises(MinorforgeError):
+        prepared240.run(0)
 
 
 def _structural_checks(g, res):
