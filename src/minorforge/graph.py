@@ -312,12 +312,12 @@ def minor_violation(g: Graph, h: Graph, d: BranchDecomposition) -> str | None:
     if i is not None:
         return f"disconnected_part: {i}"
     joined = _or_rows_over_parts(np.ascontiguousarray(near.T), listing, len(d.parts))
-    rows, cols = np.nonzero(bit_matrix(h.adj, h.n) & ~joined)  # row-major
-    upper = cols > rows
-    if upper.any():
-        first = upper.argmax()  # the first in h.edges() order
-        return f"missing_cross_edge: ({rows[first]},{cols[first]})"
-    return None
+    bad = bit_matrix(h.adj, h.n) & ~joined
+    if not bad.any():
+        return None
+    rows, cols = np.nonzero(bad)  # row-major; h and joined are symmetric
+    first = (cols > rows).argmax()  # the first in h.edges() order
+    return f"missing_cross_edge: ({rows[first]},{cols[first]})"
 
 
 def verify_minor(g: Graph, h: Graph, d: BranchDecomposition) -> bool:

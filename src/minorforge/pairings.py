@@ -115,7 +115,9 @@ def sample_conditioned(
         raise ValueError("lambda must be positive")
     for _ in range(max_tries):
         m = sample_uniform_pairing(g.n, rng)
-        if in_concentration_event(m, g, lam_f) and pairing_edge_count(m, g) >= min_edges:
+        if in_concentration_event(m, g, lam_f) and (
+            min_edges <= 0 or pairing_edge_count(m, g) >= min_edges
+        ):
             return m
     wanted = f"with >= {min_edges} edges " if min_edges > 0 else ""
     raise RejectionExhausted(f"no pairing {wanted}hit the event in {max_tries} tries")

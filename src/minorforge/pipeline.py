@@ -7,6 +7,9 @@ the 3k leftover vertices into seagulls, and contract.  Every missing edge
 of the contracted graph is accounted for exactly: it is either a clique
 vertex against a matching pair with no edge between them (a realized bad
 triple) or two matching pairs spanning no edge (a realized bad quadruple).
+The trial counts these from the host and the parts alone and requires the
+minor to miss exactly that many edges: minor_violation runs first, so every
+minor edge is joined in the host, and equal counts leave no other miss.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .errors import (
 from .graph import (
     BranchDecomposition,
     Graph,
+    bit_matrix,
     bits,
     contract,
     induced_subgraph,
@@ -298,23 +302,15 @@ class PreparedPipeline:
         if h.n != n:
             raise MinorforgeError(f"minor has {h.n} vertices, expected {n}")
 
-        # exact accounting of every missing edge of h, from host adjacency:
-        # parts are k clique singletons, n - 2k pairs, then k seagulls, so a
-        # missing edge (i, j), i < j, must end at a pair j with no host edge
-        # to part i; it is a bad triple when i is a clique vertex and a bad
-        # quadruple when i is a pair.  Seagull parts miss no edge.
-        bad_triples = 0
-        bad_quads = 0
-        for i in range(h.n):
-            for j in bits(h.vertex_mask & ~(h.adj[i] | ((1 << (i + 1)) - 1))):
-                if not k <= j < n - k or any(g.adj[v] & parts[j] for v in bits(parts[i])):
-                    raise MinorforgeError(
-                        f"missing edge ({i},{j}) is neither a bad triple nor a bad quadruple"
-                    )
-                if i < k:
-                    bad_triples += 1
-                else:
-                    bad_quads += 1
+        # bad triples (clique vertex, pair) and bad quadruples (pair, pair)
+        # with no host edge between them; minor_violation has shown that
+        # every edge of h is host-joined, so equal counts are exact
+        near = [g.adj[u] | g.adj[v] for u, v in m_star.edges]
+        bad_triples = sum((self.clique & ~r).bit_count() for r in near)
+        # pairs against pairs: symmetric, diagonal set (each pair is an edge)
+        m = bit_matrix(near, g.n)
+        joined = m[:, [u for u, _ in m_star.edges]] | m[:, [v for _, v in m_star.edges]]
+        bad_quads = int(joined.size - joined.sum()) // 2
         missing = comb(n, 2) - h.edge_count
         if missing != bad_triples + bad_quads:
             raise MinorforgeError(
