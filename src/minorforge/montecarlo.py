@@ -114,19 +114,19 @@ def _instance_record(prep: pipeline.PreparedPipeline, trials: int) -> dict:
 
 def _no_eligible_instance(size: int, instances: int, seed: int) -> list[dict]:
     """Report the absence of eligible instances, then run one advisory
-    construction as a structural check; a refusal of that graph is a failed
-    structural run."""
+    construction as a structural check, with no bound (None); a refusal of
+    that graph is a failed structural run with no estimate either."""
     g = generators.triangle_free_process_complement(size, trial_rng(seed))
     cfg = pipeline.PipelineConfig(lambda_policy="clamped", seed=seed, mode="advisory")
     try:
         res = pipeline.run_pipeline(g, cfg)
     except Ineligible as exc:
-        run = _record("expectation-bound", "advisory structural run", float("nan"), 0.0,
-                      float("nan"), False, note=f"refused: {exc}")
+        run = _record("expectation-bound", "advisory structural run", None, 0.0, None, False,
+                      note=f"refused: {exc}")
     else:
         accounted = res.missing_edges == res.realized_bad_triples + res.realized_bad_quadruples
         run = _record("expectation-bound", "advisory structural run", float(res.missing_edges),
-                      0.0, float("nan"), accounted)
+                      0.0, None, accounted)
     return [
         _record("expectation-bound", "strict-eligible instance search", 0.0, 0.0,
                 float(instances), False,

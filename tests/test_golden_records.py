@@ -4,10 +4,12 @@ The hashes of CASES were taken from the `--format records` stdout of the
 commit before the Monte Carlo suites moved out of `cli.py`, those of
 FILE_CASES from the commit before the precondition flags and certification
 gate were given one home; moving or simplifying code must leave every byte
-of these outputs unchanged.
+of these outputs unchanged.  Every record line must also be strict JSON:
+RFC 8259 has no NaN or Infinity.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -29,15 +31,17 @@ CASES = [
       "--trials", "4", "--seed", "2", "--jobs", "2"),
      0, "a78dc09def9da18000d668074c8f823cdcbf2ffc6d9ac83ad0763ca74fc0bd15"),
     # no instance is swept: the search record plus the advisory structural run
+    # (re-pinned when its bound changed from NaN to null)
     (("mc", "--suite", "expectation-bound", "--sizes", "110", "--instances", "1",
       "--trials", "3", "--seed", "5", "--sweep-limit", "0"),
-     3, "9b0376c1096d429a02f1bdab863bea69d6e0d60733232c32f48b1b214c80562a"),
+     3, "8f320b5779d6d66b369d17f47c2e411b8e4f96d5e721fe44633cf2aea1169df8"),
     # no swept instance is eligible, and the advisory run refuses the graph:
     # the refusal is the failed structural-run record (re-pinned when the
-    # fallback stopped exiting with an empty stdout)
+    # fallback stopped exiting with an empty stdout, and again when its bound
+    # and estimate changed from NaN to null)
     (("mc", "--suite", "expectation-bound", "--sizes", "20", "--instances", "1",
       "--trials", "3", "--seed", "5", "--sweep-limit", "3"),
-     3, "fdf58179b11f9a44cd3391396d5de9d836a99acd6281a539f24a16c33a6ab07f"),
+     3, "5bfbb1df95f2b8557be0cae34e7b0f6168b34bdf2711b13c81b78e415035b0bc"),
     (("gen", "--family", "tfp", "--n", "30", "--seed", "4"),
      0, "866ef97647591cd96faf8d2e68e0eb7f64ca404d6bb3076f503707fc4a44498d"),
     (("gen", "--family", "c5blowup", "--t", "3"),
@@ -51,10 +55,21 @@ CASES = [
 ]
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def assert_strict_json_lines(out):
+    for line in out.splitlines():
+        json.loads(line, parse_constant=_not_json)
+
+
 @pytest.mark.parametrize("argv,code,digest", CASES, ids=[" ".join(c[0]) for c in CASES])
 def test_record_bytes_unchanged(capsys, argv, code, digest):
     assert main([*argv, "--format", "records"]) == code
     out = capsys.readouterr().out
+    if argv[0] != "gen":  # gen writes graph text, not records
+        assert_strict_json_lines(out)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -101,4 +116,5 @@ def test_file_record_bytes_unchanged(capsys, monkeypatch, tmp_path, argv, code, 
     assert main(["gen", *GRAPHS[argv[1]], "--out", argv[1]]) == 0
     assert main([*argv, "--format", "records"]) == code
     out = capsys.readouterr().out
+    assert_strict_json_lines(out)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
