@@ -315,7 +315,7 @@ class PreparedPipeline:
         if missing != bad_triples + bad_quads:
             raise MinorforgeError(
                 f"accounting mismatch: {missing} missing vs "
-                f"{bad_triples}+{bad_quads} classified"
+                f"{bad_triples}+{bad_quads} counted"
             )
 
         return PipelineResult(
