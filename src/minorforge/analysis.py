@@ -30,10 +30,40 @@ LOCAL_SEARCH_ITERS = 60_000
 CLIQUE_BUDGET = 1_000_000
 
 
+# _first_triangle_row builds no array of much more than this many bytes; it
+# changes no result
+_TRIPLE_CHUNK = 1 << 20
+
+
+def _first_triangle_row(g: Graph) -> int:
+    """The first row of the first chunk of complement edges, in row order,
+    where the packed complement rows of an edge's two ends share a bit, or
+    g.n: no complement triangle has its least vertex before that row."""
+    n, width = g.n, (g.n + 7) // 8
+    # row by row, so no list of complement masks is held beside the bytes
+    packed = bytearray()
+    for v, a in enumerate(g.adj):
+        packed += (g.vertex_mask & ~(a | 1 << v)).to_bytes(width, "little")
+    packed = np.frombuffer(packed, np.uint8).reshape(n, width)
+    rows, step = max(1, _TRIPLE_CHUNK // (16 * n + 1)), max(1, _TRIPLE_CHUNK // (width + 1))
+    for a in range(0, n, rows):
+        # the columns from a's byte on hold every edge u < v of these rows
+        us, vs = np.unpackbits(packed[a : a + rows, a // 8 :], axis=1, bitorder="little").nonzero()
+        us, vs = us + a, vs + a // 8 * 8
+        for e in range(0, len(us), step):
+            if (packed[us[e : e + step]] & packed[vs[e : e + step]]).any():
+                return int(us[e])
+    return n
+
+
 def find_independent_triple(g: Graph) -> tuple[int, int, int] | None:
-    """Some independent 3-set of g, or None.  Triangle scan in the complement."""
+    """The lexicographically first independent 3-set of g, or None: a
+    triangle scan in the complement from the row _first_triangle_row gives."""
+    start = _first_triangle_row(g)
+    if start == g.n:
+        return None
     cadj = complement_adj(g)
-    for u in range(g.n):
+    for u in range(start, g.n):
         for v in bits(cadj[u] >> (u + 1)):
             v += u + 1
             common = cadj[u] & cadj[v] & ~((1 << (v + 1)) - 1)
@@ -182,7 +212,7 @@ _SCAN_WINDOW = 256
 
 
 def _bulk_randrange(rnd: random.Random, n: int, count: int):
-    """Yield uint32 arrays that together are [rnd.randrange(n) for _ in
+    """Yield intp arrays that together are [rnd.randrange(n) for _ in
     range(count)], for 1 <= n < 2**32.
 
     CPython's randrange(n) takes the top n.bit_length() bits of one 32-bit
@@ -194,7 +224,7 @@ def _bulk_randrange(rnd: random.Random, n: int, count: int):
     while count > 0:
         raw = rnd.getrandbits(32 * _DRAW_BLOCK).to_bytes(4 * _DRAW_BLOCK, "little")
         vals = np.frombuffer(raw, "<u4") >> shift
-        vals = vals[vals < n][:count]
+        vals = vals[vals < n][:count].astype(np.intp)
         count -= len(vals)
         yield vals
 
@@ -216,7 +246,14 @@ def large_clique(g: Graph) -> int:
     if n == 0:
         return 0
     cadj = complement_adj(g)
-    cmat = bit_matrix(cadj, n)
+    # inc[x], x's complement row with 2 at x, is what adding x adds to the
+    # state below.  No state entry exceeds max(D, 3) for the complement's
+    # maximum degree D, so the narrowest signed dtype holding D + 3 will do
+    inc = bit_matrix(cadj, n).view(np.int8)
+    cn = [row.nonzero()[0] for row in inc]  # complement neighbours, for re-adds
+    dtype = np.min_scalar_type(-4 - max(map(len, cn)))  # so it holds D + 3
+    inc = inc.astype(dtype, copy=False)
+    np.fill_diagonal(inc, 2)
     best_mask = 1
     best_size = 1
     for seed in range(LOCAL_SEARCH_RESTARTS):
@@ -235,10 +272,7 @@ def large_clique(g: Graph) -> int:
         # state[x] = 2 * (x in the set) + the number of x's complement
         # neighbours in it; a set vertex has none, so state[x] <= 1 exactly
         # when a draw of x can change the set, and 0 when x could join it
-        state = np.zeros(n, dtype=np.int32)
-        for v in bits(cur):
-            state += cmat[v]
-            state[v] += 2
+        state = inc[list(bits(cur))].sum(axis=0, dtype=dtype)
         for draws in _bulk_randrange(rnd, n, LOCAL_SEARCH_ITERS):
             p = 0
             while p < len(draws):
@@ -250,22 +284,19 @@ def large_clique(g: Graph) -> int:
                 v = int(draws[i])
                 p = i + 1
                 nb = cadj[v] & cur
-                state += cmat[v]
-                state[v] += 2
+                np.add(state, inc[v], out=state)
                 if not nb:
                     cur |= 1 << v
                     cursize += 1
                 else:
                     u = nb.bit_length() - 1
                     cur = (cur ^ nb) | (1 << v)
-                    state -= cmat[u]
-                    state[u] -= 2
+                    np.subtract(state, inc[u], out=state)
                     # the loop only adds, so a vertex blocked now stays blocked
-                    for x in (cmat[u] & (state == 0)).nonzero()[0].tolist():
+                    for x in cn[u][state[cn[u]] == 0].tolist():
                         if not (cadj[x] & cur):
                             cur |= 1 << x
-                            state += cmat[x]
-                            state[x] += 2
+                            np.add(state, inc[x], out=state)
                     cursize = cur.bit_count()
                 if cursize > best_size:
                     best_size, best_mask = cursize, cur

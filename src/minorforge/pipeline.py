@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+import numpy as np
+
 from .analysis import clique_stats, find_independent_triple, working_clique
 from .bounds import BoundReport, compute_bound_report
 from .errors import (
@@ -310,7 +312,7 @@ class PreparedPipeline:
         # pairs against pairs: symmetric, diagonal set (each pair is an edge)
         m = bit_matrix(near, g.n)
         joined = m[:, [u for u, _ in m_star.edges]] | m[:, [v for _, v in m_star.edges]]
-        bad_quads = int(joined.size - joined.sum()) // 2
+        bad_quads = (joined.size - int(np.count_nonzero(joined))) // 2
         missing = comb(n, 2) - h.edge_count
         if missing != bad_triples + bad_quads:
             raise MinorforgeError(

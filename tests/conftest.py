@@ -230,6 +230,25 @@ def oracle_adjacency_error(masks) -> str | None:
     return None
 
 
+# --- reference alpha check ------------------------------------------------------
+
+
+def oracle_first_independent_triple(g: Graph) -> tuple[int, int, int] | None:
+    """The lexicographically first sorted independent triple of g, or None:
+    an exhaustive search over u < v < w in lexicographic order, on
+    non-neighbour sets built from the edge list."""
+    non = [set(range(g.n)) - {v} for v in range(g.n)]
+    for u, v in g.edges():
+        non[u].discard(v)
+        non[v].discard(u)
+    for u in range(g.n):
+        for v in sorted(x for x in non[u] if x > u):
+            ws = [w for w in non[u] & non[v] if w > v]
+            if ws:
+                return (u, v, min(ws))
+    return None
+
+
 # --- reference local search -----------------------------------------------------
 
 

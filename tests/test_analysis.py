@@ -11,6 +11,7 @@ from conftest import (
     brute_max_clique_size,
     brute_max_independent_size,
     brute_st_cut,
+    oracle_first_independent_triple,
     oracle_large_clique,
     small_alpha2_graphs,
 )
@@ -71,6 +72,54 @@ def test_alpha_matches_bruteforce_on_random():
     for i in range(40):
         g = random_graph(9, 0.55, i)
         assert is_alpha_le_2(g) == (brute_max_independent_size(g) <= 2)
+
+
+def planted_triple(g, top=30):
+    """g less the three edges of a triangle among its last `top` vertices:
+    the triangle whose deletion makes the first independent triple start
+    latest (each deleted edge uv adds the triples of u, v and every common
+    non-neighbour)."""
+    full = g.vertex_mask
+
+    def first_common(u, v):
+        free = full & ~(g.adj[u] | g.adj[v] | 1 << u | 1 << v)
+        return (free & -free).bit_length() - 1
+
+    _, tri = max(
+        (min(first_common(x, y), first_common(x, z), first_common(y, z)), (x, y, z))
+        for x, y, z in combinations(range(g.n - top, g.n), 3)
+        if g.has_edge(x, y) and g.has_edge(x, z) and g.has_edge(y, z)
+    )
+    return Graph(g.n, [e for e in g.edges() if not set(e) <= set(tri)])
+
+
+@pytest.fixture(scope="module")
+def alpha_check_cases():
+    small = [
+        random_graph(n, p, 50 * n + i)
+        for n in (0, 1, 2, 3, 5, 8, 13, 21, 30, 40)
+        for i, p in enumerate((0.0, 0.2, 0.5, 0.8, 0.9, 0.95, 1.0))
+    ]
+    planted = [planted_triple(triangle_free_process_complement(n, trial_rng(707, n))) for n in (400, 800)]
+    return [(g, oracle_first_independent_triple(g)) for g in small + planted]
+
+
+@pytest.mark.parametrize("chunk", [1, 64, analysis._TRIPLE_CHUNK])
+def test_independent_triple_is_the_first_one(monkeypatch, alpha_check_cases, chunk):
+    # chunks of one edge, of a few edges that split rows, and the default
+    monkeypatch.setattr(analysis, "_TRIPLE_CHUNK", chunk)
+    for g, want in alpha_check_cases:
+        assert analysis.find_independent_triple(g) == want, g.n
+    assert analysis.find_independent_triple(c_n(6)) == (0, 2, 4)
+    # the planted TFP triples are late, so the packed check passes early chunks
+    assert all(want[0] > g.n // 3 for g, want in alpha_check_cases[-2:])
+
+
+def test_independent_triple_of_an_edgeless_graph_at_once():
+    # the complement is complete: the first chunk has a hit
+    start = time.perf_counter()
+    assert analysis.find_independent_triple(Graph(4096)) == (0, 1, 2)
+    assert time.perf_counter() - start < 1
 
 
 # --- max clique -----------------------------------------------------------------
@@ -153,6 +202,25 @@ def test_large_clique_matches_reference_search(monkeypatch, local_search_graphs)
             z = analysis.large_clique(g)
             assert z == oracle_large_clique(g, 2, iters), (g.n, iters)
             assert analysis.is_clique(g, z)
+
+
+def test_large_clique_matches_reference_search_with_either_state_dtype(monkeypatch):
+    # star: vertex 0 misses every other vertex, which miss about 1% of their
+    # pairs; the cliques it finds have over 127 vertices, all non-neighbours
+    # of vertex 0, so that vertex's state entry needs more than int8 (an int8
+    # state gives another clique).  TFP(600) stays int8.  Both make plateau
+    # swaps and re-adds over the full draw count.
+    rng = trial_rng(9, 2)
+    missing = {(0, v) for v in range(1, 240)}
+    missing |= {(u, v) for u in range(1, 240) for v in range(u + 1, 240) if rng.random() < 0.01}
+    star = Graph(240, [(u, v) for u in range(240) for v in range(u + 1, 240) if (u, v) not in missing])
+    tfp = triangle_free_process_complement(600, trial_rng(707, 600))
+    monkeypatch.setattr(analysis, "LOCAL_SEARCH_RESTARTS", 2)
+    for g, wide in ((star, True), (tfp, False)):
+        z = analysis.large_clique(g)
+        assert z == oracle_large_clique(g, 2, analysis.LOCAL_SEARCH_ITERS)
+        assert (z.bit_count() > 127) == wide
+        assert (max(g.n - 1 - g.degree(v) for v in range(g.n)) + 3 > 127) == wide
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 1600, 32768])
