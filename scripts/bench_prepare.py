@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Time the preparation stages on fixed instances; write BENCH_prepare.json.
 
-    PYTHONPATH=src python3 scripts/bench_prepare.py [--reps 5] [--out BENCH_prepare.json]
+    PYTHONPATH=src python3 scripts/bench_prepare.py [--out BENCH_prepare.json]
 
 The instances are the TFP graphs (complements of the triangle-free process)
 of seeds 707 and 708 at n = 400, 800 and 1600, built as
 `minorforge gen --family tfp --n N --seed S` builds them.  On each one the
 script times find_independent_triple, working_clique, clique_stats and
-strip_clique, each as the median of --reps calls, and records the clique
+strip_clique, each as the median of REPS calls, and records the clique
 size k.  `cliques_sha256` hashes every clique mask, so two commits whose
 files show the same digest built the same cliques: point PYTHONPATH at the
 other checkout's src/ to time it with the same script.
@@ -27,28 +27,29 @@ from minorforge.pipeline import strip_clique
 
 SIZES = (400, 800, 1600)
 SEEDS = (707, 708)
+REPS = 5
 STAGES = ("find_independent_triple", "working_clique", "clique_stats", "strip_clique")
 
 
-def median_ms(call, reps: int) -> tuple[float, object]:
-    """Median wall time of reps calls, in ms, and the last call's result."""
+def median_ms(call) -> tuple[float, object]:
+    """Median wall time of REPS calls, in ms, and the last call's result."""
     times = []
-    for _ in range(reps):
+    for _ in range(REPS):
         start = time.perf_counter()
         result = call()
         times.append(time.perf_counter() - start)
     return median(times) * 1e3, result
 
 
-def bench_instance(n: int, seed: int, reps: int) -> tuple[dict, int]:
+def bench_instance(n: int, seed: int) -> tuple[dict, int]:
     g = generate(GeneratorSpec(family="tfp", n=n, seed=seed))
     row = {"n": n, "seed": seed}
-    row["find_independent_triple_ms"], triple = median_ms(lambda: find_independent_triple(g), reps)
+    row["find_independent_triple_ms"], triple = median_ms(lambda: find_independent_triple(g))
     if triple is not None:
         raise SystemExit(f"tfp n={n} seed={seed} has an independent triple {triple}")
-    row["working_clique_ms"], (clique, method) = median_ms(lambda: working_clique(g), reps)
-    row["clique_stats_ms"], _ = median_ms(lambda: clique_stats(g, clique), reps)
-    row["strip_clique_ms"], _ = median_ms(lambda: strip_clique(g, clique), reps)
+    row["working_clique_ms"], (clique, method) = median_ms(lambda: working_clique(g))
+    row["clique_stats_ms"], _ = median_ms(lambda: clique_stats(g, clique))
+    row["strip_clique_ms"], _ = median_ms(lambda: strip_clique(g, clique))
     row["prepare_ms"] = sum(row[f"{s}_ms"] for s in STAGES)
     row["k"] = clique.bit_count()
     row["clique_method"] = method
@@ -57,22 +58,19 @@ def bench_instance(n: int, seed: int, reps: int) -> tuple[dict, int]:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--reps", type=int, default=5, help="calls per stage, at least 5")
     parser.add_argument("--out", default="BENCH_prepare.json")
     args = parser.parse_args()
-    if args.reps < 5:
-        parser.error("--reps must be at least 5")
     digest = hashlib.sha256()
     rows = []
     print(f"{'n':>5} {'seed':>5} {'k':>4} " + " ".join(f"{s + ' ms':>26}" for s in STAGES))
     for n in SIZES:
         for seed in SEEDS:
-            row, clique = bench_instance(n, seed, args.reps)
+            row, clique = bench_instance(n, seed)
             digest.update(f"{n} {seed} {clique:x}\n".encode())
             rows.append(row)
             cells = " ".join(f"{row[s + '_ms']:>26.2f}" for s in STAGES)
             print(f"{n:>5} {seed:>5} {row['k']:>4} {cells}", flush=True)
-    out = {"reps": args.reps, "cliques_sha256": digest.hexdigest(), "instances": rows}
+    out = {"reps": REPS, "cliques_sha256": digest.hexdigest(), "instances": rows}
     with open(args.out, "w") as f:
         json.dump(out, f, indent=1)
         f.write("\n")

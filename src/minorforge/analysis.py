@@ -29,19 +29,15 @@ LOCAL_SEARCH_ITERS = 60_000
 # many cliques instead of running on for an exponential time.
 CLIQUE_BUDGET = 1_000_000
 
-
-# _first_triangle_row builds no array of much more than this many bytes; it
-# changes no result
+# _first_triangle_row's arrays stay near this many bytes; no result changes
 _TRIPLE_CHUNK = 1 << 20
 
 
 def _first_triangle_row(g: Graph) -> int:
-    """The first row of the first chunk of complement edges, in row order,
-    where the packed complement rows of an edge's two ends share a bit, or
-    g.n: no complement triangle has its least vertex before that row."""
+    """First row of the first chunk of complement edges u < v, in order, whose
+    ends' packed rows share a bit, else n; no complement triangle starts before it."""
     n, width = g.n, (g.n + 7) // 8
-    # row by row, so no list of complement masks is held beside the bytes
-    packed = bytearray()
+    packed = bytearray()  # row by row, with no complement masks held beside it
     for v, a in enumerate(g.adj):
         packed += (g.vertex_mask & ~(a | 1 << v)).to_bytes(width, "little")
     packed = np.frombuffer(packed, np.uint8).reshape(n, width)
@@ -57,12 +53,10 @@ def _first_triangle_row(g: Graph) -> int:
 
 
 def find_independent_triple(g: Graph) -> tuple[int, int, int] | None:
-    """The lexicographically first independent 3-set of g, or None: a
-    triangle scan in the complement from the row _first_triangle_row gives."""
-    start = _first_triangle_row(g)
-    if start == g.n:
-        return None
-    cadj = complement_adj(g)
+    """The lexicographically first independent 3-set of g, or None.  A complement triangle scan
+    starts at _first_triangle_row's row, or at 0 if > n^2/4 complement edges force one (Mantel)."""
+    start = 0 if 2 * g.n * (g.n - 1) - 4 * g.edge_count > g.n**2 else _first_triangle_row(g)
+    cadj = complement_adj(g) if start < g.n else None
     for u in range(start, g.n):
         for v in bits(cadj[u] >> (u + 1)):
             v += u + 1
@@ -246,13 +240,11 @@ def large_clique(g: Graph) -> int:
     if n == 0:
         return 0
     cadj = complement_adj(g)
-    # inc[x], x's complement row with 2 at x, is what adding x adds to the
-    # state below.  No state entry exceeds max(D, 3) for the complement's
-    # maximum degree D, so the narrowest signed dtype holding D + 3 will do
+    # inc[x] (x's complement row, 2 at x) is what adding x adds to the state
+    # below; no state entry exceeds max(D, 3), D the complement's max degree
     inc = bit_matrix(cadj, n).view(np.int8)
     cn = [row.nonzero()[0] for row in inc]  # complement neighbours, for re-adds
-    dtype = np.min_scalar_type(-4 - max(map(len, cn)))  # so it holds D + 3
-    inc = inc.astype(dtype, copy=False)
+    dtype = np.min_scalar_type(-4 - max(map(len, cn)))  # holds D + 3
     np.fill_diagonal(inc, 2)
     best_mask = 1
     best_size = 1
