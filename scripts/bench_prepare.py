@@ -22,7 +22,7 @@ import time
 from statistics import median
 
 from minorforge.analysis import clique_stats, find_independent_triple, working_clique
-from minorforge.generators import GeneratorSpec, generate
+from minorforge.generators import generate
 from minorforge.pipeline import strip_clique
 
 SIZES = (400, 800, 1600)
@@ -42,7 +42,7 @@ def median_ms(call) -> tuple[float, object]:
 
 
 def bench_instance(n: int, seed: int) -> tuple[dict, int]:
-    g = generate(GeneratorSpec(family="tfp", n=n, seed=seed))
+    g = generate("tfp", n=n, seed=seed)
     row = {"n": n, "seed": seed}
     row["find_independent_triple_ms"], triple = median_ms(lambda: find_independent_triple(g))
     if triple is not None:

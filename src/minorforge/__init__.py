@@ -30,7 +30,6 @@ from .bounds import (
 )
 from .errors import MinorforgeError
 from .generators import (
-    GeneratorSpec,
     c5_blowup_complement,
     generate,
     named_graph,
@@ -70,9 +69,6 @@ from .pipeline import (
     PreconditionReport,
     certify,
     certify_batch,
-    enumerate_bad_quadruples,
-    enumerate_bad_triples,
-    preconditions,
     run_batch,
     run_pipeline,
     strip_clique,

@@ -134,8 +134,7 @@ def zeta_monotonicity_check(grid_steps: int, fraction_fn=None) -> bool:
 class BoundReport:
     """Scalar inputs and evaluated bounds for one pipeline instance.
 
-    missing_edge_bound and p are None when the hypothesis flags fail;
-    asymptotic_fraction is the grid value at (z, zeta)."""
+    missing_edge_bound and p are None when the hypothesis flags fail."""
 
     n: int
     k: int
@@ -147,7 +146,6 @@ class BoundReport:
     missing_bound: float | None
     z: float
     zeta: float
-    asymptotic_fraction: float | None
 
 
 def compute_bound_report(n: int, k: int, a: int, b: int, lam: float) -> BoundReport:
@@ -163,11 +161,7 @@ def compute_bound_report(n: int, k: int, a: int, b: int, lam: float) -> BoundRep
         bound = None
     z = k / (2.0 * n) if n else 0.0
     zeta = a / (4.0 * n * n) if n else 0.0
-    try:
-        frac = missing_fraction(min(z, 0.25), min(zeta, z * z))
-    except DomainError:
-        frac = None
     return BoundReport(
         n=n, k=k, a=a, b=b, lam=lam, p=p, q=q,
-        missing_bound=bound, z=z, zeta=zeta, asymptotic_fraction=frac,
+        missing_bound=bound, z=z, zeta=zeta,
     )

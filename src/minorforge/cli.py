@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -31,7 +30,7 @@ from .errors import (
     UnknownName,
     UnknownSuite,
 )
-from .graph import bits, from_text, to_text
+from .graph import bits, from_text, to_text, write_graph
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -42,20 +41,15 @@ _INPUT_ERRORS = (ParseError, UnknownName, UnknownSuite, OSError, ValueError)
 _EXHAUSTED_ERRORS = (RejectionExhausted, NotEnoughEdges, BudgetExhausted, MemoryError)
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("MINORFORGE_SEED", "0"))
-
-
-def _emit(records: list[dict], fmt: str, out=None) -> None:
-    out = out or sys.stdout
+def _emit(records: list[dict], fmt: str) -> None:
     if fmt == "records":
         for rec in records:
-            out.write(json.dumps(rec, sort_keys=True) + "\n")
+            sys.stdout.write(json.dumps(rec, sort_keys=True) + "\n")
     else:
         for rec in records:
             for key in sorted(rec):
-                out.write(f"{key}: {rec[key]}\n")
-            out.write("\n")
+                sys.stdout.write(f"{key}: {rec[key]}\n")
+            sys.stdout.write("\n")
 
 
 def _read_input(path: str):
@@ -82,16 +76,13 @@ def _cmd_gen(args) -> int:
     if family is None:
         raise ValueError("gen needs --family or --named")
     sizes = tuple(int(x) for x in args.sizes.split(",")) if args.sizes else None
-    spec = generators.GeneratorSpec(
+    g = generators.generate(
         family, n=args.n, t=args.t, sizes=sizes, name=args.named, order=args.order, seed=args.seed
     )
-    g = generators.generate(spec)
-    text = to_text(g)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        write_graph(g, args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(to_text(g))
     return EXIT_OK
 
 
@@ -160,8 +151,7 @@ def _cmd_build_minor(args) -> int:
     except NotCertifiable as exc:
         cert_status, cert_bound = f"NotCertifiable: {exc}", None
     if args.out_h:
-        with open(args.out_h, "w") as fh:
-            fh.write(to_text(result.h))
+        write_graph(result.h, args.out_h)
     if args.out_branches:
         with open(args.out_branches, "w") as fh:
             for i, part in enumerate(result.decomposition.parts, start=1):
@@ -246,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=_default_seed())
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("text", "records"), default="text")
 
     p_gen = sub.add_parser("gen", help="generate an alpha<=2 instance")

@@ -6,12 +6,10 @@ alpha <= 2 guarantee is by construction; tests re-verify it anyway.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import UnknownName
-from .graph import Graph, complement
+from .graph import MAX_ORDER, Graph, complement
 from .rng import trial_rng
 
 # The triangle-free process visits the pairs in batches of this many, so
@@ -25,6 +23,8 @@ def triangle_free_process_complement(num_vertices: int, rng: np.random.Generator
     unless it closes a triangle."""
     if num_vertices < 0:
         raise ValueError("num_vertices must be nonnegative")
+    if num_vertices > MAX_ORDER:
+        raise ValueError(f"order {num_vertices} exceeds the limit {MAX_ORDER}")
     n = num_vertices
     us, vs = np.triu_indices(n, 1)  # the pairs u < v in row-major order
     order = rng.permutation(len(us))
@@ -44,6 +44,8 @@ def c5_blowup_complement(t: int) -> Graph:
     vertices, clique number 2t."""
     if t < 1:
         raise ValueError("t must be at least 1")
+    if 5 * t > MAX_ORDER:
+        raise ValueError(f"order {5 * t} exceeds the limit {MAX_ORDER}")
     n = 5 * t
     part = [v // t for v in range(n)]
     edges = []
@@ -59,6 +61,8 @@ def two_clique_complement(s: int, t: int) -> Graph:
     bipartite graph).  Pipeline-ineligible; an edge-case supplier."""
     if s < 0 or t < 0:
         raise ValueError("sizes must be nonnegative")
+    if s + t > MAX_ORDER:
+        raise ValueError(f"order {s + t} exceeds the limit {MAX_ORDER}")
     edges = []
     for u in range(s):
         for v in range(u + 1, s):
@@ -111,6 +115,8 @@ def named_graph(name: str, order: int | None = None) -> Graph:
     if name == "k_n":
         if order is None or order < 0:
             raise UnknownName("k_n needs a nonnegative order")
+        if order > MAX_ORDER:
+            raise ValueError(f"order {order} exceeds the limit {MAX_ORDER}")
         return Graph(order, [(u, v) for u in range(order) for v in range(u + 1, order)])
     if name == "circulant13_minus_one_complement":
         return _circulant13_minus_one_complement()
@@ -127,36 +133,25 @@ NAMED_GRAPHS = (
 )
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Declarative description of a generated instance."""
-
-    family: str                  # tfp | c5blowup | two_clique | named
-    n: int | None = None
-    t: int | None = None
-    sizes: tuple[int, int] | None = None
-    name: str | None = None
-    order: int | None = None
-    seed: int = 0
-
-
-def generate(spec: GeneratorSpec) -> Graph:
-    """Build the instance a spec describes; a missing field raises
-    ValueError naming the command-line option that supplies it."""
-    if spec.family == "tfp":
-        if spec.n is None:
+def generate(family: str, *, n=None, t=None, sizes=None, name=None, order=None, seed=0) -> Graph:
+    """Build an instance of a family: tfp (n vertices, seed), c5blowup (part
+    size t), two_clique (sizes S, T) or named (name, and order for k_n); a
+    missing argument raises ValueError naming the command-line option that
+    supplies it."""
+    if family == "tfp":
+        if n is None:
             raise ValueError("tfp needs --n")
-        return triangle_free_process_complement(spec.n, trial_rng(spec.seed))
-    if spec.family == "c5blowup":
-        if spec.t is None:
+        return triangle_free_process_complement(n, trial_rng(seed))
+    if family == "c5blowup":
+        if t is None:
             raise ValueError("c5blowup needs --t")
-        return c5_blowup_complement(spec.t)
-    if spec.family == "two_clique":
-        if spec.sizes is None or len(spec.sizes) != 2:
+        return c5_blowup_complement(t)
+    if family == "two_clique":
+        if sizes is None or len(sizes) != 2:
             raise ValueError("two_clique needs --sizes S,T")
-        return two_clique_complement(*spec.sizes)
-    if spec.family == "named":
-        if spec.name is None:
+        return two_clique_complement(*sizes)
+    if family == "named":
+        if name is None:
             raise ValueError("named needs --named")
-        return named_graph(spec.name, spec.order)
-    raise ValueError(f"unknown family {spec.family!r}")
+        return named_graph(name, order)
+    raise ValueError(f"unknown family {family!r}")

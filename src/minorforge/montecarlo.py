@@ -172,6 +172,8 @@ def expectation_bound(
         raise ValueError(f"trials must be at least instances ({instances}), got {trials}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if sweep_limit < 0:
+        raise ValueError(f"sweep limit must be at least 0, got {sweep_limit}")
     if any(s < 6 or s % 2 for s in sizes):
         raise ValueError(f"sizes must be even and at least 6 to be strict-eligible, got {sizes}")
     eligible = _eligible_instances(sizes, instances, seed, sweep_limit)

@@ -230,6 +230,44 @@ def oracle_adjacency_error(masks) -> str | None:
     return None
 
 
+# --- the paper's bad structures -------------------------------------------------
+
+
+def enumerate_bad_triples(g: Graph, z: int) -> list[tuple[int, int, int]]:
+    """All 3-sets with exactly one clique vertex, non-adjacent to the other
+    two.  At most a(k-1)/2 of them exist."""
+    out = []
+    outside = g.vertex_mask & ~z
+    for zv in bits(z):
+        nonnb = outside & ~g.adj[zv]
+        for u in bits(nonnb):
+            for voff in bits(nonnb >> (u + 1)):
+                out.append((zv, u, u + 1 + voff))
+    return out
+
+
+def enumerate_bad_quadruples(g_prime: Graph) -> list[tuple[int, int, int, int]]:
+    """All 4-sets inducing exactly a perfect matching of size two.
+
+    Quadratic in the edge count; meant for desk-scale verification.
+    """
+    edges = list(g_prime.edges())
+    out = []
+    for i, (u1, v1) in enumerate(edges):
+        e1 = (1 << u1) | (1 << v1)
+        for u2, v2 in edges[i + 1 :]:
+            if e1 & ((1 << u2) | (1 << v2)):
+                continue
+            if (
+                not g_prime.has_edge(u1, u2)
+                and not g_prime.has_edge(u1, v2)
+                and not g_prime.has_edge(v1, u2)
+                and not g_prime.has_edge(v1, v2)
+            ):
+                out.append(tuple(sorted((u1, v1, u2, v2))))
+    return out
+
+
 # --- reference alpha check ------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import resource
 import subprocess
 import sys
 import time
@@ -268,14 +269,6 @@ def test_gamma_records(capsys):
     assert rec["z_star"] == pytest.approx(0.193984, abs=1e-4)
 
 
-def test_env_seed_default(capsys, monkeypatch):
-    monkeypatch.setenv("MINORFORGE_SEED", "9")
-    _, out_env, _ = run_cli(capsys, "gen", "--family", "tfp", "--n", "25")
-    monkeypatch.delenv("MINORFORGE_SEED")
-    _, out_explicit, _ = run_cli(capsys, "gen", "--family", "tfp", "--n", "25", "--seed", "9")
-    assert out_env == out_explicit
-
-
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "minorforge.cli", "gamma"],
@@ -308,6 +301,7 @@ def run_module(*argv):
         (("mc", "--suite", "expectation-bound", "--trials", "3", "--instances", "5"), "trials"),
         (("mc", "--suite", "expectation-bound", "--jobs", "0"), "jobs"),
         (("mc", "--suite", "expectation-bound", "--jobs", "-3"), "jobs"),
+        (("mc", "--suite", "expectation-bound", "--sweep-limit", "-1"), "sweep limit"),
         (("mc", "--suite", "expectation-bound", "--sizes", "110,7"), "even and at least 6"),
         (("mc", "--suite", "expectation-bound", "--sizes", "4"), "even and at least 6"),
         (("mc", "--suite", "pairing-marginals", "--x", "3"), "even ground set"),
@@ -328,6 +322,37 @@ def test_misuse_exits_2_with_one_line(argv, says, instance_file):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert says in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        ("--family", "tfp", "--n", "32769"),
+        ("--named", "k_n", "--order", "32769"),
+        ("--family", "c5blowup", "--t", "6554"),
+        ("--family", "two_clique", "--sizes", "16385,16384"),
+    ],
+    ids=" ".join,
+)
+def test_gen_refuses_an_order_above_the_reader_limit(capsys, options):
+    # one past graph.MAX_ORDER.  Without the refusal these calls take
+    # gigabytes, so a child capped at 2 GiB must refuse first; it fails
+    # with a MemoryError instead if the refusal is ever lost
+    cap = 2 << 30
+    child = subprocess.run(
+        [sys.executable, "-m", "minorforge.cli", "gen", *options],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert child.returncode == 2, child.stderr[-300:]
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "gen", *options)
+    assert time.monotonic() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "exceeds the limit 32768" in err
 
 
 def test_analyze_directory_exits_2(tmp_path):

@@ -4,7 +4,6 @@ from conftest import brute_max_clique_size
 from minorforge.analysis import clique_number, is_alpha_le_2
 from minorforge.errors import UnknownName
 from minorforge.generators import (
-    GeneratorSpec,
     c5_blowup_complement,
     generate,
     named_graph,
@@ -110,9 +109,9 @@ def test_named_unknown():
 
 
 def test_generate_dispatch():
-    assert generate(GeneratorSpec(family="tfp", n=10, seed=3)).n == 10
-    assert generate(GeneratorSpec(family="c5blowup", t=2)).n == 10
-    assert generate(GeneratorSpec(family="two_clique", sizes=(2, 3))).n == 5
-    assert generate(GeneratorSpec(family="named", name="c5")).n == 5
+    assert generate("tfp", n=10, seed=3).n == 10
+    assert generate("c5blowup", t=2).n == 10
+    assert generate("two_clique", sizes=(2, 3)).n == 5
+    assert generate("named", name="c5").n == 5
     with pytest.raises(ValueError):
-        generate(GeneratorSpec(family="mystery"))
+        generate("mystery")

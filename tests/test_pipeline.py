@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_contract, small_alpha2_graphs
+from conftest import (
+    enumerate_bad_quadruples,
+    enumerate_bad_triples,
+    oracle_contract,
+    oracle_induced,
+    small_alpha2_graphs,
+)
 from minorforge import pipeline
 from minorforge.analysis import clique_stats, max_clique
 from minorforge.errors import (
@@ -27,9 +33,6 @@ from minorforge.pipeline import (
     PreparedPipeline,
     certify,
     certify_batch,
-    enumerate_bad_quadruples,
-    enumerate_bad_triples,
-    preconditions,
     resolve_lambda,
     run_batch,
     run_pipeline,
@@ -131,23 +134,23 @@ def test_bad_quadruples_definition():
 
 
 def test_preconditions_k6_clique_too_large():
-    pre = preconditions(k_n(6), PipelineConfig())
+    pre = PreparedPipeline(k_n(6), PipelineConfig()).report
     assert not pre.clique_below_quarter
     assert not pre.strict_ok
 
 
 def test_preconditions_odd_order():
     with pytest.raises(Ineligible, match=r"\|V\| = 15 must be even and at least 6"):
-        preconditions(c5_blowup_complement(3), PipelineConfig())
+        PreparedPipeline(c5_blowup_complement(3), PipelineConfig())
 
 
 def test_preconditions_q_recorded_when_invalid():
-    pre = preconditions(k_n(8), PipelineConfig(lambda_policy=Fraction(1)))
+    pre = PreparedPipeline(k_n(8), PipelineConfig(lambda_policy=Fraction(1))).report
     assert pre.q < 0 and not pre.lambda_sq_gt_2n
 
 
 def test_failed_flags_in_declared_order():
-    pre = preconditions(k_n(8), PipelineConfig(lambda_policy=Fraction(1)))
+    pre = PreparedPipeline(k_n(8), PipelineConfig(lambda_policy=Fraction(1))).report
     assert pre.failed_flags == (
         "clique_below_quarter", "lambda_sq_gt_2n", "matching_count_nonneg"
     )
@@ -260,6 +263,35 @@ def test_accounting_identity(instance, trial, prepared110, advisory110, prepared
     assert set(kinds) <= {(1, 2), (2, 2)}
     assert kinds.count((1, 2)) == res.realized_bad_triples
     assert kinds.count((2, 2)) == res.realized_bad_quadruples
+
+
+def test_realized_counts_are_bad_triples_of_matched_pairs(prepared240):
+    g = prepared240.g
+    triples = enumerate_bad_triples(g, prepared240.clique)
+    for trial in range(25):
+        res = prepared240.run(trial)
+        pairs = set(res.m_star.edges)
+        assert res.realized_bad_triples == sum((u, v) in pairs for _, u, v in triples)
+
+
+def test_realized_quadruples_are_bad_quadruples_of_matched_pairs(prepared240):
+    # each enumeration takes about a second, so only these trials, which
+    # realize 0, 1, 2 and 1 bad quadruples
+    edges = set(prepared240.g.edges())
+    counts = []
+    for trial in (0, 1, 12, 22):
+        res = prepared240.run(trial)
+        partner = {u: v for pair in res.m_star.edges for u, v in (pair, pair[::-1])}
+        matched = sorted(partner)
+        sub = Graph(len(matched), oracle_induced(edges, matched))
+        # a 4-set with exactly two edges, both matched pairs, is two pairs
+        realized = 0
+        for quad in enumerate_bad_quadruples(sub):
+            ends = {matched[v] for v in quad}
+            realized += all(partner[u] in ends for u in ends)
+        assert res.realized_bad_quadruples == realized
+        counts.append(realized)
+    assert counts == [0, 1, 2, 1]
 
 
 @pytest.mark.parametrize("kind", ["clique-clique", "clique-pair", "pair-pair", "pair-seagull"])
