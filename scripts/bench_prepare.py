@@ -5,12 +5,15 @@
 
 The instances are the TFP graphs (complements of the triangle-free process)
 of seeds 707 and 708 at n = 400, 800 and 1600, built as
-`minorforge gen --family tfp --n N --seed S` builds them.  On each one the
-script times find_independent_triple, working_clique, clique_stats and
-strip_clique, each as the median of REPS calls, and records the clique
-size k.  `cliques_sha256` hashes every clique mask, so two commits whose
-files show the same digest built the same cliques: point PYTHONPATH at the
-other checkout's src/ to time it with the same script.
+`minorforge gen --family tfp --n N --seed S` builds them.  The script
+times that build (the gen layer) as the median of REPS calls and reports
+its tracemalloc peak from one more call, made apart so tracing slows no
+timed call.  On each graph it times find_independent_triple,
+working_clique, clique_stats and strip_clique, each as the median of REPS
+calls, and records the clique size k.  `cliques_sha256` hashes every
+clique mask, so two commits whose files show the same digest built the
+same cliques: point PYTHONPATH at the other checkout's src/ to time it
+with the same script.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import argparse
 import hashlib
 import json
 import time
+import tracemalloc
 from statistics import median
 
 from minorforge.analysis import clique_stats, find_independent_triple, working_clique
@@ -41,9 +45,20 @@ def median_ms(call) -> tuple[float, object]:
     return median(times) * 1e3, result
 
 
+def traced_peak_mb(call) -> float:
+    """tracemalloc's peak over one call, in MB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def bench_instance(n: int, seed: int) -> tuple[dict, int]:
-    g = generate("tfp", n=n, seed=seed)
     row = {"n": n, "seed": seed}
+    row["tfp_ms"], g = median_ms(lambda: generate("tfp", n=n, seed=seed))
+    row["tfp_peak_mb"] = traced_peak_mb(lambda: generate("tfp", n=n, seed=seed))
     row["find_independent_triple_ms"], triple = median_ms(lambda: find_independent_triple(g))
     if triple is not None:
         raise SystemExit(f"tfp n={n} seed={seed} has an independent triple {triple}")
@@ -62,14 +77,16 @@ def main() -> None:
     args = parser.parse_args()
     digest = hashlib.sha256()
     rows = []
-    print(f"{'n':>5} {'seed':>5} {'k':>4} " + " ".join(f"{s + ' ms':>26}" for s in STAGES))
+    print(f"{'n':>5} {'seed':>5} {'k':>4} {'tfp ms':>8} {'tfp MB':>7} "
+          + " ".join(f"{s + ' ms':>26}" for s in STAGES))
     for n in SIZES:
         for seed in SEEDS:
             row, clique = bench_instance(n, seed)
             digest.update(f"{n} {seed} {clique:x}\n".encode())
             rows.append(row)
             cells = " ".join(f"{row[s + '_ms']:>26.2f}" for s in STAGES)
-            print(f"{n:>5} {seed:>5} {row['k']:>4} {cells}", flush=True)
+            print(f"{n:>5} {seed:>5} {row['k']:>4} {row['tfp_ms']:>8.1f} "
+                  f"{row['tfp_peak_mb']:>7.2f} {cells}", flush=True)
     out = {"reps": REPS, "cliques_sha256": digest.hexdigest(), "instances": rows}
     with open(args.out, "w") as f:
         json.dump(out, f, indent=1)

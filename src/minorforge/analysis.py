@@ -164,7 +164,10 @@ def _mis_size(adj, alive: int, target: int | None = None) -> int:
             return best
         return rec(alive & ~(1 << bv), cur, best)
 
-    return rec(alive, 0, 0)
+    try:
+        return rec(alive, 0, 0)
+    finally:
+        rec = None  # rec's closure holds rec: break the cycle
 
 
 def max_clique(g: Graph) -> int:
@@ -363,7 +366,10 @@ def enumerate_cliques(g: Graph):
             yield new
             yield from rec(new, cand & g.adj[v] & ~((1 << (v + 1)) - 1))
 
-    yield from rec(0, g.vertex_mask)
+    try:
+        yield from rec(0, g.vertex_mask)
+    finally:
+        rec = None  # rec's closure holds rec: break the cycle
 
 
 def greedy_clique_lb(g: Graph, alive: int) -> int:

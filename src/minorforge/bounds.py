@@ -35,12 +35,18 @@ def missing_edge_bound(n: int, k: int, a: int, b: int, lam: float) -> float:
         (1/(1-2n/lam^2)) * ( b(k-1)^2 p^2 / (4(2n-k-2)(2n-k-4))
                              + a(k-1) p / (2(2n-k-2)) )
     """
-    lam = float(lam)
+    return _missing_edge_bound(n, k, a, b, float(lam), None)
+
+
+def _missing_edge_bound(n: int, k: int, a: int, b: int, lam: float, p: float | None) -> float:
+    """missing_edge_bound, given p = selection_probability(n, k, b, lam)
+    or None to compute it after the hypothesis checks."""
     if lam * lam <= 2 * n:
         raise InvalidHypotheses("lambda^2 must exceed 2n")
     if 2 * n - k - 4 <= 0:
         raise InvalidHypotheses("2n - k - 4 must be positive")
-    p = selection_probability(n, k, b, lam)
+    if p is None:
+        p = selection_probability(n, k, b, lam)
     q = 1.0 - 2.0 * n / (lam * lam)
     quad = b * (k - 1.0) ** 2 * p * p / (4.0 * (2 * n - k - 2.0) * (2 * n - k - 4.0))
     tri = a * (k - 1.0) * p / (2.0 * (2 * n - k - 2.0))
@@ -155,9 +161,10 @@ def compute_bound_report(n: int, k: int, a: int, b: int, lam: float) -> BoundRep
         p = selection_probability(n, k, b, lam)
     except (NonpositiveDenominator, ValueError):
         p = None
+    # without p, missing_edge_bound raises too
     try:
-        bound = missing_edge_bound(n, k, a, b, lam)
-    except (InvalidHypotheses, NonpositiveDenominator, ValueError):
+        bound = None if p is None else _missing_edge_bound(n, k, a, b, lam, p)
+    except InvalidHypotheses:
         bound = None
     z = k / (2.0 * n) if n else 0.0
     zeta = a / (4.0 * n * n) if n else 0.0

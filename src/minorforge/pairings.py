@@ -79,7 +79,10 @@ def all_pairings(x_size: int) -> Iterator[Pairing]:
             rest = remaining[1:i] + remaining[i + 1 :]
             yield from rec(rest, acc + [(u, v)])
 
-    yield from rec(tuple(range(x_size)), [])
+    try:
+        yield from rec(tuple(range(x_size)), [])
+    finally:
+        rec = None  # rec's closure holds rec: break the cycle
 
 
 def pairing_edge_count(m: Pairing, g: Graph) -> int:

@@ -342,8 +342,12 @@ def certify_batch(results: list[PipelineResult]) -> Certificate:
     within three standard errors."""
     if not results:
         raise NotCertifiable("empty batch")
-    bound = _certified_bound(results[0])
-    vals = [r.missing_edges for r in results]
+    return _batch_certificate(_certified_bound(results[0]), [r.missing_edges for r in results])
+
+
+def _batch_certificate(bound: float, vals: list[int]) -> Certificate:
+    """certify_batch's verdict on the missing-edge counts of a nonempty
+    batch, in trial order, against its certified bound."""
     t = len(vals)
     mean = sum(vals) / t
     var = sum((v - mean) ** 2 for v in vals) / (t - 1) if t > 1 else 0.0

@@ -152,9 +152,13 @@ def seagull_partition(g: Graph) -> SeagullPartition | None:
             failed.add(unused)
         return False
 
-    if rec(g.vertex_mask, k, int(d.sum()) // 2):
-        return SeagullPartition(tuple(out))
-    return None
+    try:
+        found = rec(g.vertex_mask, k, int(d.sum()) // 2)
+    finally:
+        # rec's closure holds rec: break that cycle, so non, d and the memo
+        # go when the call returns, not at the next cyclic collection
+        rec = None
+    return SeagullPartition(tuple(out)) if found else None
 
 
 def max_disjoint_seagulls_bruteforce(g: Graph) -> int:

@@ -6,12 +6,14 @@ check: subset enumeration, mask dynamic programs and BFS cut search.
 
 from __future__ import annotations
 
+import gc
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
-from minorforge.graph import Graph, bits, mask_of
+from minorforge.graph import Graph, bits, complement, mask_of
 
 
 def brute_max_clique_size(g: Graph) -> int:
@@ -399,3 +401,35 @@ def oracle_seagull_partition(g: Graph) -> tuple[tuple[tuple[int, int, int], ...]
 
     found = rec(g.vertex_mask, k)
     return (tuple(out) if found else None), nodes
+
+
+# --- reference generator and garbage count --------------------------------------
+
+
+def oracle_triangle_free_process_complement(num_vertices: int, rng: np.random.Generator) -> Graph:
+    """The triangle-free process on the explicit pair tables: the pairs u < v
+    of np.triu_indices, visited in rng.permutation order (12 n^2 bytes)."""
+    n = num_vertices
+    us, vs = np.triu_indices(n, 1)
+    order = rng.permutation(len(us))
+    adj = [0] * n
+    for start in range(0, len(order), 8192):
+        chunk = order[start : start + 8192]
+        for u, v in zip(us[chunk].tolist(), vs[chunk].tolist()):
+            if adj[u] & adj[v]:
+                continue
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return complement(Graph.from_adj(adj))
+
+
+def cyclic_garbage(action) -> int:
+    """How many objects action() leaves that only the cyclic collector
+    frees: automatic collection is off while it runs."""
+    gc.collect()
+    gc.disable()
+    try:
+        action()
+        return gc.collect()
+    finally:
+        gc.enable()

@@ -11,6 +11,7 @@ from conftest import (
     brute_max_clique_size,
     brute_max_independent_size,
     brute_st_cut,
+    cyclic_garbage,
     oracle_first_independent_triple,
     oracle_large_clique,
     small_alpha2_graphs,
@@ -437,3 +438,10 @@ def test_conditions_report_never_short_circuits():
     # all five fields are booleans even though one failed
     for name in ("cond_size", "cond_connectivity", "cond_capacity", "cond_matching", "cond_five_wheel"):
         assert isinstance(getattr(rep, name), bool)
+
+
+def test_enumerate_cliques_leaves_no_cyclic_garbage():
+    g = named_graph("petersen")
+    assert cyclic_garbage(lambda: list(enumerate_cliques(g))) == 0
+    # nor when the generator is dropped half-way
+    assert cyclic_garbage(lambda: next(enumerate_cliques(g))) == 0

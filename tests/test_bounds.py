@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from minorforge import bounds
 from minorforge.bounds import (
     compute_bound_report,
     gamma_optimize,
@@ -151,3 +152,29 @@ def test_bound_report_fields():
     assert rep.zeta == pytest.approx(2000 / (4 * 200 * 200))
     bad = compute_bound_report(200, 54, 2000, 6000, 10.0)  # lambda^2 < 2n
     assert bad.missing_bound is None
+
+
+def _or_none(fn, *args):
+    try:
+        return fn(*args)
+    except (InvalidHypotheses, NonpositiveDenominator, ValueError):
+        return None
+
+
+def test_bound_report_evaluates_the_selection_probability_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return selection_probability(*args)
+
+    monkeypatch.setattr(bounds, "selection_probability", counted)
+    # valid, lambda^2 <= 2n, 2n - k - 4 <= 0, nonpositive denominator, n < 2k
+    cases = [(200, 30, 40, 900, 14.5), (100, 10, 5, 5, 10), (5, 6, 0, 0, 20),
+             (10, 2, 10_000, 0, 5), (10, 6, 0, 0, 5), (400, 55, 7000, 2e5, 27.0)]
+    for n, k, a, b, lam in cases:
+        calls.clear()
+        rep = compute_bound_report(n, k, a, b, lam)
+        assert len(calls) == 1
+        assert rep.p == _or_none(selection_probability, n, k, b, lam)
+        assert rep.missing_bound == _or_none(missing_edge_bound, n, k, a, b, lam)

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import pytest
 
-from conftest import brute_max_clique_size
+from conftest import brute_max_clique_size, oracle_triangle_free_process_complement
 from minorforge.analysis import clique_number, is_alpha_le_2
 from minorforge.errors import UnknownName
 from minorforge.generators import (
@@ -115,3 +117,26 @@ def test_generate_dispatch():
     assert generate("named", name="c5").n == 5
     with pytest.raises(ValueError):
         generate("mystery")
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 12, 13, 110, 400])
+def test_tfp_matches_the_pair_table_oracle(n):
+    for seed in range(4):
+        rng, oracle_rng = trial_rng(seed), trial_rng(seed)
+        assert triangle_free_process_complement(n, rng) == oracle_triangle_free_process_complement(
+            n, oracle_rng
+        )
+        # the same draws, so the generator leaves the same stream behind
+        assert rng.integers(2**62) == oracle_rng.integers(2**62)
+
+
+def test_tfp_800_traced_peak_below_4_mb():
+    triangle_free_process_complement(800, trial_rng(0))  # numpy's first-use allocations
+    tracemalloc.start()
+    try:
+        triangle_free_process_complement(800, trial_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the int64 permutation plus triu_indices alone are 12 n^2 bytes (7.7 MB)
+    assert peak < 4e6

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,3 +43,24 @@ def test_expectation_bound_prepares_each_swept_instance_once(monkeypatch):
     assert [r["pass"] for r in recs] == [True, True]
     swept = recs[-1]["instance_seed"] - 2 + 1
     assert calls == {"prepare": swept, "tfp": swept}
+
+
+def test_instance_record_keeps_only_the_counts():
+    prep = next(montecarlo._eligible_instances([110], 1, 2, 50))
+    results = [prep.run(t) for t in range(40)]
+    cert = pipeline.certify_batch(results)
+    rec = montecarlo._instance_record(prep, 40)
+    assert (rec["estimate"], rec["stderr"], rec["bound"]) == (cert.observed, cert.stderr, cert.bound)
+    assert rec["max_bad_triples"] == max(r.realized_bad_triples for r in results)
+    assert rec["max_bad_quadruples"] == max(r.realized_bad_quadruples for r in results)
+    del results
+    peaks = []
+    for trials in (10, 40):
+        tracemalloc.start()
+        try:
+            montecarlo._instance_record(prep, trials)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # holding every result grew the peak by about 9 KB per trial here
+    assert peaks[1] - peaks[0] < 100_000

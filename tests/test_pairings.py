@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import cyclic_garbage
 from minorforge.errors import NotEnoughEdges, OddGroundSet, RejectionExhausted
 from minorforge.generators import named_graph
 from minorforge.graph import Graph
@@ -45,6 +46,10 @@ def test_all_pairings_counts():
     assert len(list(all_pairings(4))) == 3
     assert len(list(all_pairings(6))) == 15
     assert len(set(p.pairs for p in all_pairings(6))) == 15
+
+
+def test_all_pairings_leaves_no_cyclic_garbage():
+    assert cyclic_garbage(lambda: list(all_pairings(6))) == 0
 
 
 def test_x4_uniform_over_three_pairings():

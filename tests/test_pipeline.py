@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    cyclic_garbage,
     enumerate_bad_quadruples,
     enumerate_bad_triples,
     oracle_contract,
@@ -401,3 +402,22 @@ def test_seagull_failure_is_loud(instance110, monkeypatch):
     monkeypatch.setattr(pl, "seagull_partition", lambda g: None)
     with pytest.raises(SeagullFailure):
         pl.run_pipeline(instance110, PipelineConfig(lambda_policy="clamped", seed=1))
+
+
+# --- reference cycles --------------------------------------------------------------
+
+
+def test_preparation_and_trial_leave_no_cyclic_garbage(instance110):
+    # n = 110 takes the exact clique search, whose recursion is _mis_size
+    cfg = PipelineConfig(lambda_policy="clamped", seed=7)
+    assert cyclic_garbage(lambda: PreparedPipeline(instance110, cfg).run(0)) == 0
+
+
+def test_trials_leave_no_cyclic_garbage():
+    prep = PreparedPipeline(
+        triangle_free_process_complement(400, trial_rng(707)),
+        PipelineConfig(lambda_policy="clamped", seed=1),
+    )
+    # each trial's seagull search would otherwise keep its n_s x n_s matrix
+    # until a collection
+    assert cyclic_garbage(lambda: [prep.run(t) for t in range(5)]) == 0
