@@ -1,0 +1,110 @@
+#!/usr/bin/env python3
+"""Time the trial stages on fixed instances; write BENCH_trial.json.
+
+    PYTHONPATH=src python3 scripts/bench_trial.py
+
+The instances are the TFP graphs (complements of the triangle-free process)
+of seeds 707 and 708 at n = 400, 800 and 1600, built as
+`minorforge gen --family tfp --n N --seed S` builds them, and prepared once
+with `lambda=clamped` and pipeline seed 1.  The script runs TRIALS[n]
+trials on each and reports the median wall time of a whole trial
+(`PreparedPipeline.run`) and of its stages, each stage timed on that
+trial's own inputs: the sampler and subsample, `induced_subgraph` on the
+leftover set S, `seagull_partition`, and `contract` plus `minor_violation`
+on a decomposition built afresh from the trial's parts, so nothing either
+of them builds once per decomposition is shared between trials.  `rest_ms`
+is the trial's median less the stages' medians (the part lists and the
+missing-edge accounting).  `results_sha256` hashes every trial's counts,
+parts and minor adjacency, so two commits whose files show the same digest
+built the same minors: point PYTHONPATH at the other checkout's src/ to
+time it with the same script.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import time
+from statistics import median
+
+from minorforge.generators import generate
+from minorforge.graph import BranchDecomposition, contract, induced_subgraph, mask_of, minor_violation
+from minorforge.pipeline import PipelineConfig, PreparedPipeline
+from minorforge.seagulls import seagull_partition
+
+SIZES = (400, 800, 1600)
+SEEDS = (707, 708)
+TRIALS = {400: 30, 800: 15, 1600: 9}
+CONFIG = PipelineConfig(lambda_policy="clamped", seed=1)
+OUT = "BENCH_trial.json"
+STAGES = ("sample", "induced_subgraph", "seagull_partition", "contract", "minor_violation")
+
+
+def timed(call) -> tuple[float, object]:
+    """Wall time of one call, in ms, and its result."""
+    start = time.perf_counter()
+    result = call()
+    return (time.perf_counter() - start) * 1e3, result
+
+
+def trial_times(prep: PreparedPipeline, trial: int) -> dict[str, float]:
+    """Stage times of one trial, each stage run on that trial's inputs."""
+    g = prep.g
+    times = {}
+    times["run"], res = timed(lambda: prep.run(trial))
+    times["sample"], m_star = timed(lambda: prep._sample_matching(trial))
+    covered = mask_of(v for edge in m_star.edges for v in edge)
+    s_mask = g.vertex_mask & ~prep.clique & ~covered
+    times["induced_subgraph"], (g_s, _) = timed(lambda: induced_subgraph(g, s_mask))
+    times["seagull_partition"], _ = timed(lambda: seagull_partition(g_s))
+    d = BranchDecomposition(host=g, parts=res.decomposition.parts)
+    times["contract"], h = timed(lambda: contract(g, d))
+    times["minor_violation"], violation = timed(lambda: minor_violation(g, h, d))
+    if h != res.h or violation is not None:
+        raise SystemExit(f"trial {trial}: the stages did not rebuild the trial's minor")
+    return times, res
+
+
+def result_bytes(res) -> bytes:
+    return json.dumps(
+        [res.trial, res.missing_edges, res.realized_bad_triples,
+         res.realized_bad_quadruples, list(res.decomposition.parts), list(res.h.adj)]
+    ).encode()
+
+
+def bench_instance(n: int, seed: int, digest) -> dict:
+    prep = PreparedPipeline(generate("tfp", n=n, seed=seed), CONFIG)
+    prep.run(0)  # warm-up: lazy imports and first-call set-up stay out of the medians
+    per_trial = []
+    for trial in range(TRIALS[n]):
+        times, res = trial_times(prep, trial)
+        digest.update(result_bytes(res))
+        per_trial.append(times)
+    row = {"n": n, "seed": seed, "k": prep.k, "trials": TRIALS[n]}
+    row["run_ms"] = median(t["run"] for t in per_trial)
+    for stage in STAGES:
+        row[f"{stage}_ms"] = median(t[stage] for t in per_trial)
+    row["rest_ms"] = row["run_ms"] - sum(row[f"{s}_ms"] for s in STAGES)
+    return row
+
+
+def main() -> None:
+    digest = hashlib.sha256()
+    rows = []
+    print(f"{'n':>5} {'seed':>5} {'k':>4} {'run ms':>8} "
+          + " ".join(f"{s + ' ms':>20}" for s in STAGES + ("rest",)))
+    for n in SIZES:
+        for seed in SEEDS:
+            row = bench_instance(n, seed, digest)
+            rows.append(row)
+            cells = " ".join(f"{row[s + '_ms']:>20.3f}" for s in STAGES + ("rest",))
+            print(f"{n:>5} {seed:>5} {row['k']:>4} {row['run_ms']:>8.3f} {cells}", flush=True)
+    out = {"results_sha256": digest.hexdigest(), "instances": rows}
+    with open(OUT, "w") as f:
+        json.dump(out, f, indent=1)
+        f.write("\n")
+    print(f"results_sha256 {out['results_sha256']}; wrote {OUT}")
+
+
+if __name__ == "__main__":
+    main()

@@ -13,7 +13,6 @@ from .analysis import (
     is_five_wheel,
     is_k_connected,
     max_clique,
-    maximum_matching_size,
     min_capacity,
     seagull_conditions,
     working_clique,

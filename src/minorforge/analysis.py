@@ -605,10 +605,6 @@ def _maximum_matching_size(adj, n: int) -> int:
     return size
 
 
-def maximum_matching_size(g: Graph) -> int:
-    return _maximum_matching_size(g.adj, g.n)
-
-
 def complement_matching_size(g: Graph) -> int:
     """Size of a maximum matching in the complement of g."""
     cadj = complement_adj(g)

@@ -4,16 +4,22 @@ Adjacency is one Python int bitmask per vertex, so complement, contraction
 and triangle scans are word-parallel.  Vertex sets everywhere in this
 package are plain int bitmasks over the host graph's indices.
 
-The masks stay the representation.  The bulk steps that would otherwise
-loop over every edge in Python (the symmetry check of each construction,
-restriction to a vertex set, contraction and the minor re-check) unpack the
-masks they need into a bool bit matrix (bit_matrix), work on it with numpy
-and pack the rows back into masks (row_masks).
+The masks stay the representation.  Each graph also keeps the same bits as
+packed rows (Graph.rows, n x ceil(n/8) bytes, the masks' own size), packed
+once, on first use.  The bulk steps that would otherwise loop over every
+edge in Python (restriction to a vertex set, contraction, the minor
+re-check, the seagull search's complement rows and the trial's missing-edge
+accounting) gather the packed rows they need and unpack only those
+(unpack_rows).  from_adj also takes a square bool matrix, so contract and
+induced_subgraph hand it the matrix they built rather than masks it would
+unpack again.  A branch decomposition lists its parts by size once, on
+first use, and contract and minor_violation share that listing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -36,16 +42,26 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def _packed(masks: Sequence[int], n: int) -> np.ndarray:
+    """len(masks) x ceil(n/8) uint8 rows; bit v of masks[i] is bit v % 8 of
+    byte v // 8 of row i.  Every mask must be nonnegative and below
+    2**(8 * ceil(n / 8))."""
+    width = (n + 7) // 8
+    raw = b"".join(m.to_bytes(width, "little") for m in masks)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
+
+
+def unpack_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """The bool matrix of packed rows: bits 0..n-1 of each row."""
+    return np.unpackbits(rows, axis=1, count=n, bitorder="little").view(bool)
+
+
 def bit_matrix(masks: Sequence[int], n: int) -> np.ndarray:
     """len(masks) x n bool matrix; row i holds bits 0..n-1 of masks[i].
 
     Every mask must be nonnegative and below 2**(8 * ceil(n / 8)).
     """
-    if not masks or not n:
-        return np.zeros((len(masks), n), dtype=bool)
-    width = (n + 7) // 8
-    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
-    return np.unpackbits(raw.reshape(-1, width), axis=1, count=n, bitorder="little").view(bool)
+    return unpack_rows(_packed(masks, n), n)
 
 
 def row_masks(mat: np.ndarray) -> list[int]:
@@ -56,7 +72,8 @@ def row_masks(mat: np.ndarray) -> list[int]:
     packed = np.packbits(mat, axis=1, bitorder="little")
     width = packed.shape[1]
     raw = packed.tobytes()
-    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, rows * width, width)]
+    from_bytes = int.from_bytes
+    return [from_bytes(raw[i : i + width], "little") for i in range(0, rows * width, width)]
 
 
 def _part_listing(parts) -> list[tuple[int, list[int], np.ndarray]]:
@@ -74,14 +91,15 @@ def _part_listing(parts) -> list[tuple[int, list[int], np.ndarray]]:
 
 
 def _or_rows_over_parts(mat: np.ndarray, listing, count: int) -> np.ndarray:
-    """count x cols bool matrix whose row i ORs the rows of mat (one per
-    host vertex) at the vertices of part i; listing is _part_listing's.
+    """count x cols matrix whose row i ORs the rows of mat (one per host
+    vertex, bool or packed) at the vertices of part i; listing is
+    _part_listing's.
 
     Parts of one size are done together: with their vertices' rows gathered
     part after part, row slice o::s holds the o-th vertex of every part of
     size s, so s whole-slice ORs cover them all.
     """
-    out = np.zeros((count, mat.shape[1]), dtype=bool)
+    out = np.zeros((count, mat.shape[1]), dtype=mat.dtype)
     for s, which, verts in listing:
         rows = mat[verts]
         acc = rows[0::s]
@@ -94,7 +112,7 @@ def _or_rows_over_parts(mat: np.ndarray, listing, count: int) -> np.ndarray:
 class Graph:
     """Simple undirected graph; immutable after construction."""
 
-    __slots__ = ("n", "adj", "_m")
+    __slots__ = ("n", "adj", "_m", "_rows")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -110,28 +128,61 @@ class Graph:
         self.n = n
         self.adj = tuple(adj)
         self._m = sum(a.bit_count() for a in adj) // 2
+        self._rows = None
 
     @classmethod
-    def from_adj(cls, adj: Iterable[int]) -> "Graph":
-        """Build from per-vertex neighbour masks (must be symmetric, loop-free)."""
-        adj = tuple(adj)
-        g = cls.__new__(cls)
-        g.n = len(adj)
-        g.adj = adj
-        g._m = sum(a.bit_count() for a in adj) // 2
-        full = (1 << g.n) - 1
-        for v, a in enumerate(adj):
-            if a & (1 << v):
-                raise ValueError(f"loop at vertex {v}")
-            if a & ~full:
-                raise ValueError(f"adjacency of {v} out of range")
-        # after the range checks, so every mask fits bit_matrix's rows
-        m = bit_matrix(adj, g.n)
+    def from_adj(cls, adj: Iterable[int] | np.ndarray) -> "Graph":
+        """Build from per-vertex neighbour masks, or from a square bool
+        adjacency matrix; either must be symmetric and loop-free."""
+        if isinstance(adj, np.ndarray):
+            if adj.dtype != bool or adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+                raise ValueError("adjacency matrix must be a square bool array")
+            m = adj
+            loops = np.flatnonzero(m.diagonal())
+            if loops.size:
+                raise ValueError(f"loop at vertex {loops[0]}")
+            adj = tuple(row_masks(m))
+        else:
+            adj = tuple(adj)
+            full = (1 << len(adj)) - 1
+            for v, a in enumerate(adj):
+                if a & (1 << v):
+                    raise ValueError(f"loop at vertex {v}")
+                if a & ~full:
+                    raise ValueError(f"adjacency of {v} out of range")
+            # after the range checks, so every mask fits bit_matrix's rows
+            m = bit_matrix(adj, len(adj))
         bad = m > m.T  # v->u without u->v
         if bad.any():
             v, u = np.argwhere(bad)[0]  # row-major: the first v, then its first u
             raise ValueError(f"asymmetric adjacency {v}->{u}")
+        g = cls.__new__(cls)
+        g.n = len(adj)
+        g.adj = adj
+        g._m = sum(a.bit_count() for a in adj) // 2
+        # packed on first use only: keeping the rows packed above on every
+        # graph built here, the stripped graph and each minor included,
+        # raised build-800's peak RSS by about 0.3 MB
+        g._rows = None
         return g
+
+    def __getstate__(self):
+        # the packed rows are a cache: left out, and rebuilt on first use
+        return self.n, self.adj, self._m
+
+    def __setstate__(self, state):
+        self.n, self.adj, self._m = state
+        self._rows = None
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The adjacency as read-only packed rows, n x ceil(n/8) uint8:
+        bit v % 8 of byte v // 8 of row u is set when uv is an edge.  Packed
+        on first use and kept, so each graph packs its masks at most once;
+        unpack_rows gives the bool rows of any gathered subset."""
+        if self._rows is None:
+            self._rows = _packed(self.adj, self.n)
+        return self._rows
 
     @property
     def edge_count(self) -> int:
@@ -181,8 +232,8 @@ def induced_subgraph(g: Graph, subset: int) -> tuple[Graph, tuple[int, ...]]:
     if subset & ~g.vertex_mask:
         raise ValueError("subset not within the vertex range")
     old = tuple(bits(subset))
-    rows = bit_matrix([g.adj[v] for v in old], g.n)
-    return Graph.from_adj(row_masks(rows[:, old])), old
+    idx = np.array(old, dtype=np.intp)
+    return Graph.from_adj(unpack_rows(g.rows[idx], g.n)[:, idx]), old
 
 
 def complement_edge_count(g: Graph, subset: int) -> int:
@@ -239,12 +290,19 @@ class BranchDecomposition:
     host: Graph
     parts: tuple[int, ...]
 
+    @cached_property
+    def _listing(self):
+        """_part_listing(self.parts), built on first use: contract and
+        minor_violation share it, and it comes from the parts alone."""
+        return _part_listing(self.parts)
+
     def __post_init__(self):
+        n = self.host.n
         seen = 0
         for i, p in enumerate(self.parts):
             if p == 0:
                 raise InvalidDecomposition(f"part {i} is empty")
-            if p & ~self.host.vertex_mask:
+            if p >> n:  # a bit past the last vertex, or p < 0
                 raise InvalidDecomposition(f"part {i} is out of range")
             if p & seen:
                 raise InvalidDecomposition(f"part {i} overlaps an earlier part")
@@ -260,7 +318,7 @@ def contract(g: Graph, d: BranchDecomposition) -> Graph:
     (singletons included); uncovered vertices are simply deleted."""
     if d.host is not g and d.host != g:
         raise InvalidDecomposition("decomposition built for a different host")
-    listing = _part_listing(d.parts)
+    listing = d._listing
     # reach[i]: the vertices adjacent to part i, its neighbour masks ORed
     # slice by slice as in _or_rows_over_parts
     reach = [0] * len(d.parts)
@@ -271,7 +329,7 @@ def contract(g: Graph, d: BranchDecomposition) -> Graph:
             acc = [a | b for a, b in zip(acc, nbrs[o::s])]
         for i, r in zip(which, acc):
             reach[i] = r
-    i = _first_disconnected(g, d.parts, [not p & ~r for p, r in zip(d.parts, reach)])
+    i = _first_disconnected(g, d.parts, [(p & r) == p for p, r in zip(d.parts, reach)])
     if i is not None:
         raise InvalidDecomposition(f"part {i} induces a disconnected subgraph")
     # h[i, j]: part i reaches some vertex of part j.  Row v of reach's
@@ -280,7 +338,7 @@ def contract(g: Graph, d: BranchDecomposition) -> Graph:
     # the host, and so h, is symmetric.
     h = _or_rows_over_parts(np.ascontiguousarray(bit_matrix(reach, g.n).T), listing, len(d.parts))
     np.fill_diagonal(h, False)
-    return Graph.from_adj(row_masks(h))
+    return Graph.from_adj(h)
 
 
 def minor_violation(g: Graph, h: Graph, d: BranchDecomposition) -> str | None:
@@ -290,21 +348,21 @@ def minor_violation(g: Graph, h: Graph, d: BranchDecomposition) -> str | None:
     """
     if len(d.parts) != h.n:
         return f"part_count: {len(d.parts)} parts for {h.n} minor vertices"
-    full = g.vertex_mask
+    n = g.n
     seen = 0
     for i, p in enumerate(d.parts):
         if p == 0:
             return f"empty_part: {i}"
-        if p & ~full:
+        if p >> n:
             return f"out_of_range: part {i}"
         if p & seen:
             return f"overlap: part {i}"
         seen |= p
-    # near[i]: the host vertices adjacent to part i, from the host's bit
-    # matrix alone (OR over the part's rows); joined[i, j]: some g-edge runs
+    # near[i]: the host vertices adjacent to part i, from the host's packed
+    # rows alone (OR over the part's rows); joined[i, j]: some g-edge runs
     # between parts i and j (near's columns, as rows, ORed over part j)
-    listing = _part_listing(d.parts)
-    near = _or_rows_over_parts(bit_matrix(g.adj, g.n), listing, len(d.parts))
+    listing = d._listing
+    near = unpack_rows(_or_rows_over_parts(g.rows, listing, len(d.parts)), g.n)
     linked = np.empty(len(d.parts), dtype=bool)
     for s, which, verts in listing:
         linked[which] = near[np.repeat(which, s), verts].reshape(-1, s).all(axis=1)
@@ -312,7 +370,7 @@ def minor_violation(g: Graph, h: Graph, d: BranchDecomposition) -> str | None:
     if i is not None:
         return f"disconnected_part: {i}"
     joined = _or_rows_over_parts(np.ascontiguousarray(near.T), listing, len(d.parts))
-    bad = bit_matrix(h.adj, h.n) & ~joined
+    bad = unpack_rows(h.rows, h.n) & ~joined
     if not bad.any():
         return None
     rows, cols = np.nonzero(bad)  # row-major; h and joined are symmetric
@@ -333,8 +391,8 @@ def verify_minor(g: Graph, h: Graph, d: BranchDecomposition) -> bool:
 # order.
 
 # Largest order the reader accepts.  Each vertex's adjacency is an n-bit int,
-# so a graph of order n takes up to n^2/8 bytes (128 MiB at this order), and
-# the bit-matrix checks (from_adj's symmetry check, the minor re-check) hold
+# so a graph of order n takes up to n^2/8 bytes (128 MiB at this order), its
+# packed rows as much again once built, and the bit-matrix checks (from_adj's symmetry check, the minor re-check) hold
 # unpacked n x n bool matrices of n^2 bytes each while they run (1 GiB each
 # at this order); a larger header is refused before anything is allocated.
 MAX_ORDER = 1 << 15

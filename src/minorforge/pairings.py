@@ -59,9 +59,8 @@ def sample_uniform_pairing(x_size: int, rng: np.random.Generator) -> Pairing:
     """Exactly uniform over all (x_size-1)!! pairings."""
     if x_size % 2:
         raise OddGroundSet(f"ground set of size {x_size}")
-    perm = rng.permutation(x_size)
-    pairs = _canonical((int(perm[2 * i]), int(perm[2 * i + 1])) for i in range(x_size // 2))
-    return Pairing(ground_size=x_size, pairs=pairs)
+    perm = rng.permutation(x_size).tolist()
+    return Pairing(ground_size=x_size, pairs=_canonical(zip(perm[0::2], perm[1::2])))
 
 
 def all_pairings(x_size: int) -> Iterator[Pairing]:
@@ -89,7 +88,8 @@ def pairing_edge_count(m: Pairing, g: Graph) -> int:
     """|M intersect E(g)|; the pairing must live on V(g)."""
     if m.ground_size != g.n:
         raise ValueError("pairing ground set does not match the graph")
-    return sum(1 for u, v in m.pairs if g.has_edge(u, v))
+    adj = g.adj
+    return sum((adj[u] >> v) & 1 for u, v in m.pairs)
 
 
 def in_concentration_event(m: Pairing, g: Graph, lam) -> bool:
@@ -132,7 +132,8 @@ def subsample_matching(
     """Uniform count-subset of the pairing's edges that lie in E(g)."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    inside = [e for e in m.pairs if g.has_edge(*e)]
+    adj = g.adj
+    inside = [(u, v) for u, v in m.pairs if (adj[u] >> v) & 1]
     if len(inside) < count:
         raise NotEnoughEdges(f"pairing has {len(inside)} graph edges, need {count}")
     idx = rng.choice(len(inside), size=count, replace=False)

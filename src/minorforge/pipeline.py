@@ -33,12 +33,12 @@ from .errors import (
 from .graph import (
     BranchDecomposition,
     Graph,
-    bit_matrix,
     bits,
     contract,
     induced_subgraph,
     mask_of,
     minor_violation,
+    unpack_rows,
 )
 # in_concentration_event and sample_uniform_pairing are unused here, but
 # perfbench traces the sampler by looking both up in this module
@@ -270,12 +270,16 @@ class PreparedPipeline:
 
         # bad triples (clique vertex, pair) and bad quadruples (pair, pair)
         # with no host edge between them; minor_violation has shown that
-        # every edge of h is host-joined, so equal counts are exact
-        near = [g.adj[u] | g.adj[v] for u, v in m_star.edges]
-        bad_triples = sum((self.clique & ~r).bit_count() for r in near)
+        # every edge of h is host-joined, so equal counts are exact.
+        # near[p, c]: pair p has a host edge to vertex c, for c the clique's
+        # vertices, then every pair's low end, then every pair's high end
+        lows, highs = np.array(list(zip(*m_star.edges)), dtype=np.intp).reshape(2, -1)
+        cols = np.concatenate((np.array(list(bits(self.clique)), dtype=np.intp), lows, highs))
+        near = unpack_rows(g.rows[lows] | g.rows[highs], g.n)[:, cols]
+        pairs = len(lows)
+        bad_triples = pairs * k - int(np.count_nonzero(near[:, :k]))
         # pairs against pairs: symmetric, diagonal set (each pair is an edge)
-        m = bit_matrix(near, g.n)
-        joined = m[:, [u for u, _ in m_star.edges]] | m[:, [v for _, v in m_star.edges]]
+        joined = near[:, k : k + pairs] | near[:, k + pairs :]
         bad_quads = (joined.size - int(np.count_nonzero(joined))) // 2
         missing = comb(n, 2) - h.edge_count
         if missing != bad_triples + bad_quads:

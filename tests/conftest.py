@@ -13,6 +13,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from minorforge.analysis import _maximum_matching_size
 from minorforge.graph import Graph, bits, complement, mask_of
 
 
@@ -56,6 +57,12 @@ def brute_matching_size(g: Graph) -> int:
         return best
 
     return rec(g.vertex_mask)
+
+
+def maximum_matching_size(g: Graph) -> int:
+    """The library's blossom matching run on g itself; the library runs it
+    only on complements (complement_matching_size)."""
+    return _maximum_matching_size(g.adj, g.n)
 
 
 def brute_is_k_connected(g: Graph, k: int) -> bool:

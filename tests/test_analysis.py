@@ -12,6 +12,7 @@ from conftest import (
     brute_max_independent_size,
     brute_st_cut,
     cyclic_garbage,
+    maximum_matching_size,
     oracle_first_independent_triple,
     oracle_large_clique,
     small_alpha2_graphs,
@@ -28,7 +29,6 @@ from minorforge.analysis import (
     is_k_connected,
     is_k_connected_with_cut,
     max_clique,
-    maximum_matching_size,
     min_capacity,
     seagull_conditions,
 )

@@ -4,9 +4,11 @@ Every property runs once per byte-boundary order (a mask's byte length
 changes between 7/8/9 and 63/64/65 vertices) and once with a drawn order.
 """
 
+import pickle
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,7 @@ from minorforge.generators import triangle_free_process_complement
 from minorforge.graph import (
     BranchDecomposition,
     Graph,
+    _part_listing,
     bit_matrix,
     contract,
     from_text,
@@ -32,6 +35,7 @@ from minorforge.graph import (
     minor_violation,
     row_masks,
     to_text,
+    unpack_rows,
 )
 from minorforge.pipeline import PipelineConfig, PreparedPipeline
 from minorforge.rng import trial_rng
@@ -265,6 +269,87 @@ def test_from_adj_refuses_one_flipped_bit_like_the_oracle(order, data):
     with pytest.raises(ValueError) as exc:
         Graph.from_adj(masks)
     assert str(exc.value) == expected
+
+
+def draw_matrix(data, order):
+    """A square bool matrix: a graph's adjacency, that with one bit flipped
+    (a loop when the bit is on the diagonal), or independent random bits."""
+    g, _, rnd = draw_graph(data, order)
+    mat = bit_matrix(g.adj, g.n)
+    kind = data.draw(st.sampled_from(("graph", "flipped", "random")))
+    if kind == "flipped" and g.n:
+        mat[rnd.randrange(g.n), rnd.randrange(g.n)] ^= True
+    elif kind == "random":
+        mat = np.array([rnd.random() < 0.5 for _ in range(g.n * g.n)], dtype=bool).reshape(g.n, g.n)
+        if g.n and data.draw(st.booleans()):
+            mat |= mat.T  # symmetric, loops left as drawn
+    return mat
+
+
+@ORDERS
+@PROPERTY
+@given(data=st.data())
+def test_from_adj_on_a_matrix_is_from_adj_on_its_masks(order, data):
+    mat = draw_matrix(data, order)
+    masks = row_masks(mat)
+    expected = oracle_adjacency_error(masks)
+    if expected is None:
+        g = Graph.from_adj(mat)
+        assert g == Graph.from_adj(masks)
+        assert g.edge_count == int(mat.sum()) // 2
+        return
+    for adj in (mat, masks):
+        with pytest.raises(ValueError) as exc:
+            Graph.from_adj(adj)
+        assert str(exc.value) == expected
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        np.zeros((2, 3), dtype=bool),
+        np.zeros((3,), dtype=bool),
+        np.zeros((2, 2, 2), dtype=bool),
+        np.zeros((3, 3), dtype=np.uint8),
+        np.zeros((3, 3), dtype=np.int64),
+    ],
+    ids=["2x3", "1-d", "3-d", "uint8", "int64"],
+)
+def test_from_adj_refuses_a_matrix_that_is_not_square_bool(mat):
+    with pytest.raises(ValueError, match="^adjacency matrix must be a square bool array$"):
+        Graph.from_adj(mat)
+
+
+@pytest.mark.parametrize("order", BYTE_EDGE_ORDERS)
+def test_cached_rows_are_the_bit_matrix_and_equality_ignores_them(order):
+    rnd = random.Random(order)
+    edges = {(u, v) for u in range(order) for v in range(u + 1, order) if rnd.random() < 0.4}
+    lazy = Graph(order, edges)
+    built = [Graph.from_adj(lazy.adj), Graph.from_adj(bit_matrix(lazy.adj, order))]
+    assert all(g == lazy and hash(g) == hash(lazy) for g in built)  # lazy has no rows yet
+    for g in [lazy] + built + [pickle.loads(pickle.dumps(g)) for g in built]:
+        rows = g.rows
+        assert rows.shape == (order, (order + 7) // 8) and rows.dtype == np.uint8
+        assert not rows.flags.writeable
+        assert g.rows is rows
+        assert np.array_equal(unpack_rows(rows, order), bit_matrix(g.adj, order))
+        assert g == Graph(order, edges) and hash(g) == hash(Graph(order, edges))
+
+
+@pytest.mark.parametrize("order", BYTE_EDGE_ORDERS)
+def test_cached_part_listing_is_the_listing_of_the_parts(order):
+    rnd = random.Random(order)
+    edges = {(u, v) for u in range(order) for v in range(u + 1, order) if rnd.random() < 0.4}
+    g = Graph(order, edges)
+    parts = tuple(random_decomposition(order, edges, rnd))
+    for d in (BranchDecomposition(host=g, parts=parts), unchecked_decomposition(g, parts)):
+        fresh = BranchDecomposition(host=g, parts=parts)
+        listing = d._listing
+        assert d._listing is listing
+        expected = _part_listing(parts)
+        assert [(s, which) for s, which, _ in listing] == [(s, which) for s, which, _ in expected]
+        assert all(np.array_equal(a[2], b[2]) for a, b in zip(listing, expected))
+        assert d == fresh and hash(d) == hash(fresh)  # fresh has no listing yet
 
 
 @ORDERS
