@@ -10,10 +10,13 @@ times that build (the gen layer) as the median of REPS calls and reports
 its tracemalloc peak from one more call, made apart so tracing slows no
 timed call.  On each graph it times find_independent_triple,
 working_clique, clique_stats and strip_clique, each as the median of REPS
-calls, and records the clique size k.  `cliques_sha256` hashes every
-clique mask, so two commits whose files show the same digest built the
-same cliques: point PYTHONPATH at the other checkout's src/ to time it
-with the same script.
+calls, and records the clique size k.  Times are paced milliseconds, as
+perfbench reports them: each call's wall time times PROBE_NOMINAL_S over
+the mean of perfbench's probe read just before and just after it, so
+other load on the machine moves them less than wall time.
+`cliques_sha256` hashes every clique mask, so two commits whose files show
+the same digest built the same cliques: point PYTHONPATH at the other
+checkout's src/ to time it with the same script.
 """
 
 from __future__ import annotations
@@ -21,13 +24,19 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 from statistics import median
 
 from minorforge.analysis import clique_stats, find_independent_triple, working_clique
 from minorforge.generators import generate
 from minorforge.pipeline import strip_clique
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from workloads import PROBE_NOMINAL_S, probe  # noqa: E402
 
 SIZES = (400, 800, 1600)
 SEEDS = (707, 708)
@@ -36,12 +45,14 @@ STAGES = ("find_independent_triple", "working_clique", "clique_stats", "strip_cl
 
 
 def median_ms(call) -> tuple[float, object]:
-    """Median wall time of REPS calls, in ms, and the last call's result."""
+    """Median paced time of REPS calls, in ms, and the last call's result."""
     times = []
     for _ in range(REPS):
+        before = probe()
         start = time.perf_counter()
         result = call()
-        times.append(time.perf_counter() - start)
+        wall = time.perf_counter() - start
+        times.append(wall * PROBE_NOMINAL_S / ((before + probe()) / 2))
     return median(times) * 1e3, result
 
 

@@ -7,30 +7,39 @@ The instances are the TFP graphs (complements of the triangle-free process)
 of seeds 707 and 708 at n = 400, 800 and 1600, built as
 `minorforge gen --family tfp --n N --seed S` builds them, and prepared once
 with `lambda=clamped` and pipeline seed 1.  The script runs TRIALS[n]
-trials on each and reports the median wall time of a whole trial
+trials on each and reports the median paced time of a whole trial
 (`PreparedPipeline.run`) and of its stages, each stage timed on that
 trial's own inputs: the sampler and subsample, `induced_subgraph` on the
 leftover set S, `seagull_partition`, and `contract` plus `minor_violation`
 on a decomposition built afresh from the trial's parts, so nothing either
 of them builds once per decomposition is shared between trials.  `rest_ms`
 is the trial's median less the stages' medians (the part lists and the
-missing-edge accounting).  `results_sha256` hashes every trial's counts,
-parts and minor adjacency, so two commits whose files show the same digest
-built the same minors: point PYTHONPATH at the other checkout's src/ to
-time it with the same script.
+missing-edge accounting).  Times are paced milliseconds, as perfbench
+reports them: a call's wall time times PROBE_NOMINAL_S over the mean of
+perfbench's probe read just before and just after it, so other load on the
+machine moves them less than wall time.  `results_sha256` hashes every
+trial's counts, parts and minor adjacency, so two commits whose files show
+the same digest built the same minors: point PYTHONPATH at the other
+checkout's src/ to time it with the same script.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import time
+from pathlib import Path
 from statistics import median
 
 from minorforge.generators import generate
 from minorforge.graph import BranchDecomposition, contract, induced_subgraph, mask_of, minor_violation
 from minorforge.pipeline import PipelineConfig, PreparedPipeline
 from minorforge.seagulls import seagull_partition
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from workloads import PROBE_NOMINAL_S, probe  # noqa: E402
 
 SIZES = (400, 800, 1600)
 SEEDS = (707, 708)
@@ -41,10 +50,12 @@ STAGES = ("sample", "induced_subgraph", "seagull_partition", "contract", "minor_
 
 
 def timed(call) -> tuple[float, object]:
-    """Wall time of one call, in ms, and its result."""
+    """Paced time of one call, in ms, and its result."""
+    before = probe()
     start = time.perf_counter()
     result = call()
-    return (time.perf_counter() - start) * 1e3, result
+    wall = time.perf_counter() - start
+    return wall * PROBE_NOMINAL_S / ((before + probe()) / 2) * 1e3, result
 
 
 def trial_times(prep: PreparedPipeline, trial: int) -> dict[str, float]:

@@ -15,8 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import AlphaTooLarge, BudgetExhausted, NotAClique
-from .graph import Graph, bit_matrix, bits, complement_adj, complement_edge_count
-from .graph import is_connected_subset, reach_within
+from .graph import Graph, bits, complement_adj, complement_edge_count, complement_rows
+from .graph import is_connected_subset, reach_within, unpack_rows
 
 # Exact clique search is exponential in the worst case; above this order the
 # pipeline switches to the verified local-search path (see working_clique).
@@ -36,15 +36,12 @@ _TRIPLE_CHUNK = 1 << 20
 def _first_triangle_row(g: Graph) -> int:
     """First row of the first chunk of complement edges u < v, in order, whose
     ends' packed rows share a bit, else n; no complement triangle starts before it."""
-    n, width = g.n, (g.n + 7) // 8
-    packed = bytearray()  # row by row, with no complement masks held beside it
-    for v, a in enumerate(g.adj):
-        packed += (g.vertex_mask & ~(a | 1 << v)).to_bytes(width, "little")
-    packed = np.frombuffer(packed, np.uint8).reshape(n, width)
+    packed = complement_rows(g)
+    n, width = packed.shape
     rows, step = max(1, _TRIPLE_CHUNK // (16 * n + 1)), max(1, _TRIPLE_CHUNK // (width + 1))
     for a in range(0, n, rows):
         # the columns from a's byte on hold every edge u < v of these rows
-        us, vs = np.unpackbits(packed[a : a + rows, a // 8 :], axis=1, bitorder="little").nonzero()
+        us, vs = unpack_rows(packed[a : a + rows, a // 8 :], n - a // 8 * 8).nonzero()
         us, vs = us + a, vs + a // 8 * 8
         for e in range(0, len(us), step):
             if (packed[us[e : e + step]] & packed[vs[e : e + step]]).any():
@@ -245,7 +242,7 @@ def large_clique(g: Graph) -> int:
     cadj = complement_adj(g)
     # inc[x] (x's complement row, 2 at x) is what adding x adds to the state
     # below; no state entry exceeds max(D, 3), D the complement's max degree
-    inc = bit_matrix(cadj, n).view(np.int8)
+    inc = unpack_rows(complement_rows(g), n).view(np.int8)
     cn = [row.nonzero()[0] for row in inc]  # complement neighbours, for re-adds
     dtype = np.min_scalar_type(-4 - max(map(len, cn)))  # holds D + 3
     np.fill_diagonal(inc, 2)

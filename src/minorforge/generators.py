@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UnknownName
-from .graph import MAX_ORDER, Graph, complement
+from .graph import MAX_ORDER, Graph, bit_matrix, complement
 from .rng import trial_rng
 
 # The triangle-free process visits the pairs in batches of this many, so
@@ -46,7 +46,7 @@ def triangle_free_process_complement(num_vertices: int, rng: np.random.Generator
                 continue
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-    return complement(Graph.from_adj(adj))
+    return complement(Graph.from_adj(bit_matrix(adj, n)))
 
 
 def c5_blowup_complement(t: int) -> Graph:
@@ -110,37 +110,29 @@ def _circulant13_minus_one_complement() -> Graph:
     return complement(Graph(12, kept))
 
 
+# The fixed named graphs; k_n, which also takes an order, is named_graph's own case.
+_NAMED = {
+    "five_wheel": _five_wheel,
+    "c5": lambda: Graph(5, [(i, (i + 1) % 5) for i in range(5)]),
+    "p3": lambda: Graph(3, [(0, 1), (1, 2)]),
+    "petersen": _petersen,
+    "petersen_complement": lambda: complement(_petersen()),
+    "circulant13_minus_one_complement": _circulant13_minus_one_complement,
+}
+NAMED_GRAPHS = (*_NAMED, "k_n")
+
+
 def named_graph(name: str, order: int | None = None) -> Graph:
     """Fixed-labelling named graphs; k_n additionally takes the order."""
-    if name == "five_wheel":
-        return _five_wheel()
-    if name == "c5":
-        return Graph(5, [(i, (i + 1) % 5) for i in range(5)])
-    if name == "p3":
-        return Graph(3, [(0, 1), (1, 2)])
-    if name == "petersen":
-        return _petersen()
-    if name == "petersen_complement":
-        return complement(_petersen())
     if name == "k_n":
         if order is None or order < 0:
             raise UnknownName("k_n needs a nonnegative order")
         if order > MAX_ORDER:
             raise ValueError(f"order {order} exceeds the limit {MAX_ORDER}")
         return Graph(order, [(u, v) for u in range(order) for v in range(u + 1, order)])
-    if name == "circulant13_minus_one_complement":
-        return _circulant13_minus_one_complement()
-    raise UnknownName(f"unknown named graph {name!r}")
-
-NAMED_GRAPHS = (
-    "five_wheel",
-    "c5",
-    "p3",
-    "petersen",
-    "petersen_complement",
-    "k_n",
-    "circulant13_minus_one_complement",
-)
+    if name not in _NAMED:
+        raise UnknownName(f"unknown named graph {name!r}")
+    return _NAMED[name]()
 
 
 def generate(family: str, *, n=None, t=None, sizes=None, name=None, order=None, seed=0) -> Graph:

@@ -4,16 +4,13 @@ Adjacency is one Python int bitmask per vertex, so complement, contraction
 and triangle scans are word-parallel.  Vertex sets everywhere in this
 package are plain int bitmasks over the host graph's indices.
 
-The masks stay the representation.  Each graph also keeps the same bits as
-packed rows (Graph.rows, n x ceil(n/8) bytes, the masks' own size), packed
-once, on first use.  The bulk steps that would otherwise loop over every
-edge in Python (restriction to a vertex set, contraction, the minor
-re-check, the seagull search's complement rows and the trial's missing-edge
-accounting) gather the packed rows they need and unpack only those
-(unpack_rows).  from_adj also takes a square bool matrix, so contract and
-induced_subgraph hand it the matrix they built rather than masks it would
-unpack again.  A branch decomposition lists its parts by size once, on
-first use, and contract and minor_violation share that listing.
+Every graph also carries the same bits as packed rows (Graph.rows, the
+masks' own size), set when it is built; only this module knows their
+layout.  The bulk steps that would otherwise loop over every edge in Python
+gather the rows they need and unpack only those (unpack_rows), and
+complement_rows gives the complement's rows.  from_adj builds a graph from
+a square bool matrix.  A branch decomposition lists its parts by size once,
+on first use, and contract and minor_violation share that listing.
 """
 
 from __future__ import annotations
@@ -64,16 +61,19 @@ def bit_matrix(masks: Sequence[int], n: int) -> np.ndarray:
     return unpack_rows(_packed(masks, n), n)
 
 
+def _packed_masks(rows: np.ndarray) -> list[int]:
+    """The inverse of _packed: one int mask per packed row."""
+    count, width = rows.shape
+    if not width:
+        return [0] * count
+    raw = rows.tobytes()
+    from_bytes = int.from_bytes
+    return [from_bytes(raw[i : i + width], "little") for i in range(0, count * width, width)]
+
+
 def row_masks(mat: np.ndarray) -> list[int]:
     """The inverse of bit_matrix: one int mask per row of a bool matrix."""
-    rows, cols = mat.shape
-    if not rows or not cols:
-        return [0] * rows
-    packed = np.packbits(mat, axis=1, bitorder="little")
-    width = packed.shape[1]
-    raw = packed.tobytes()
-    from_bytes = int.from_bytes
-    return [from_bytes(raw[i : i + width], "little") for i in range(0, rows * width, width)]
+    return _packed_masks(np.packbits(mat, axis=1, bitorder="little"))
 
 
 def _part_listing(parts) -> list[tuple[int, list[int], np.ndarray]]:
@@ -110,9 +110,10 @@ def _or_rows_over_parts(mat: np.ndarray, listing, count: int) -> np.ndarray:
 
 
 class Graph:
-    """Simple undirected graph; immutable after construction."""
+    """Simple undirected graph; immutable after construction.  rows is the
+    adjacency as read-only packed rows: _packed(adj, n), pad bits clear."""
 
-    __slots__ = ("n", "adj", "_m", "_rows")
+    __slots__ = ("n", "adj", "_m", "rows")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -128,61 +129,32 @@ class Graph:
         self.n = n
         self.adj = tuple(adj)
         self._m = sum(a.bit_count() for a in adj) // 2
-        self._rows = None
+        self.rows = _packed(adj, n)
 
     @classmethod
-    def from_adj(cls, adj: Iterable[int] | np.ndarray) -> "Graph":
-        """Build from per-vertex neighbour masks, or from a square bool
-        adjacency matrix; either must be symmetric and loop-free."""
-        if isinstance(adj, np.ndarray):
-            if adj.dtype != bool or adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-                raise ValueError("adjacency matrix must be a square bool array")
-            m = adj
-            loops = np.flatnonzero(m.diagonal())
-            if loops.size:
-                raise ValueError(f"loop at vertex {loops[0]}")
-            adj = tuple(row_masks(m))
-        else:
-            adj = tuple(adj)
-            full = (1 << len(adj)) - 1
-            for v, a in enumerate(adj):
-                if a & (1 << v):
-                    raise ValueError(f"loop at vertex {v}")
-                if a & ~full:
-                    raise ValueError(f"adjacency of {v} out of range")
-            # after the range checks, so every mask fits bit_matrix's rows
-            m = bit_matrix(adj, len(adj))
-        bad = m > m.T  # v->u without u->v
-        if bad.any():
-            v, u = np.argwhere(bad)[0]  # row-major: the first v, then its first u
+    def from_adj(cls, adj: np.ndarray) -> "Graph":
+        """Build from a square bool adjacency matrix, which must be
+        symmetric and loop-free."""
+        square = isinstance(adj, np.ndarray) and adj.ndim == 2 and adj.shape[0] == adj.shape[1]
+        if not square or adj.dtype != bool:
+            raise ValueError("adjacency matrix must be a square bool array")
+        loops = np.flatnonzero(adj.diagonal())
+        if loops.size:
+            raise ValueError(f"loop at vertex {loops[0]}")
+        if (adj > adj.T).any():  # v->u without u->v (freed before the rows are packed)
+            v, u = np.argwhere(adj > adj.T)[0]  # row-major: the first v, then its first u
             raise ValueError(f"asymmetric adjacency {v}->{u}")
         g = cls.__new__(cls)
+        g.rows = np.packbits(adj, axis=1, bitorder="little")
+        g.rows.flags.writeable = False
         g.n = len(adj)
-        g.adj = adj
-        g._m = sum(a.bit_count() for a in adj) // 2
-        # packed on first use only: keeping the rows packed above on every
-        # graph built here, the stripped graph and each minor included,
-        # raised build-800's peak RSS by about 0.3 MB
-        g._rows = None
+        g.adj = tuple(_packed_masks(g.rows))
+        g._m = sum(a.bit_count() for a in g.adj) // 2
         return g
 
-    def __getstate__(self):
-        # the packed rows are a cache: left out, and rebuilt on first use
-        return self.n, self.adj, self._m
-
-    def __setstate__(self, state):
-        self.n, self.adj, self._m = state
-        self._rows = None
-
-    @property
-    def rows(self) -> np.ndarray:
-        """The adjacency as read-only packed rows, n x ceil(n/8) uint8:
-        bit v % 8 of byte v // 8 of row u is set when uv is an edge.  Packed
-        on first use and kept, so each graph packs its masks at most once;
-        unpack_rows gives the bool rows of any gathered subset."""
-        if self._rows is None:
-            self._rows = _packed(self.adj, self.n)
-        return self._rows
+    def __reduce__(self):
+        # rebuilt, and so re-checked, by from_adj
+        return Graph.from_adj, (unpack_rows(self.rows, self.n),)
 
     @property
     def edge_count(self) -> int:
@@ -219,9 +191,20 @@ def complement_adj(g: Graph) -> list[int]:
     return [full & ~(g.adj[v] | (1 << v)) for v in range(g.n)]
 
 
+def complement_rows(g: Graph) -> np.ndarray:
+    """The complement's adjacency as writable packed rows in Graph.rows'
+    layout: ~g.rows with the pad bits past n and each vertex's own bit clear."""
+    rows = ~g.rows
+    if g.n % 8:
+        rows[:, -1] &= 0xFF >> (8 - g.n % 8)
+    v = np.arange(g.n)
+    rows[v, v >> 3] &= ~(np.uint8(1) << (v & 7).astype(np.uint8))
+    return rows
+
+
 def complement(g: Graph) -> Graph:
     """Graph with edge uv exactly when uv is a non-edge of g (u != v)."""
-    return Graph.from_adj(complement_adj(g))
+    return Graph.from_adj(unpack_rows(complement_rows(g), g.n))
 
 
 def induced_subgraph(g: Graph, subset: int) -> tuple[Graph, tuple[int, ...]]:
@@ -390,11 +373,11 @@ def verify_minor(g: Graph, h: Graph, d: BranchDecomposition) -> bool:
 # e lines sorted, so equal graphs produce equal bytes; the reader accepts any
 # order.
 
-# Largest order the reader accepts.  Each vertex's adjacency is an n-bit int,
-# so a graph of order n takes up to n^2/8 bytes (128 MiB at this order), its
-# packed rows as much again once built, and the bit-matrix checks (from_adj's symmetry check, the minor re-check) hold
-# unpacked n x n bool matrices of n^2 bytes each while they run (1 GiB each
-# at this order); a larger header is refused before anything is allocated.
+# Largest order the reader accepts.  A graph of order n takes up to n^2/8
+# bytes in n-bit adjacency ints (128 MiB at this order) and as much again in
+# its packed rows; from_adj's input and symmetry check and the minor re-check
+# hold n x n bool matrices of n^2 bytes each while they run (1 GiB each at
+# this order).  A larger header is refused before anything is allocated.
 MAX_ORDER = 1 << 15
 
 

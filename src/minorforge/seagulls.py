@@ -14,7 +14,7 @@ import numpy as np
 
 from .analysis import greedy_clique_lb
 from .errors import BudgetExhausted, TooLarge, WrongOrder
-from .graph import Graph, bits, unpack_rows
+from .graph import Graph, bits, complement_rows, unpack_rows
 
 BRUTEFORCE_LIMIT = 15
 
@@ -104,12 +104,10 @@ def seagull_partition(g: Graph) -> SeagullPartition | None:
     k = g.n // 3
     if k == 0:
         return SeagullPartition(())
-    # non[v]: v's complement row as 0/1 bytes, from g's packed rows.  Each
+    # non[v]: v's complement row as 0/1 bytes, from complement_rows.  Each
     # placement sums three rows: an int32 copy of the whole matrix, made per
     # call, raised peak RSS by about 6 MB over a few hundred trials at n = 400.
-    non = ~unpack_rows(g.rows, g.n)
-    np.fill_diagonal(non, False)
-    non = non.view(np.int8)
+    non = unpack_rows(complement_rows(g), g.n).view(np.int8)
     # d[v]: v's unused non-neighbours; a used vertex stays at g.n or more,
     # so argmin (first minimum: lowest index) only picks unused vertices
     d = non.sum(axis=1, dtype=np.int32)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from minorforge.analysis import _maximum_matching_size
-from minorforge.graph import Graph, bits, complement, mask_of
+from minorforge.graph import Graph, bit_matrix, bits, complement, mask_of
 
 
 def brute_max_clique_size(g: Graph) -> int:
@@ -223,15 +223,13 @@ def oracle_minor_violation(n: int, edges, h_n: int, h_edges, parts) -> str | Non
 
 
 def oracle_adjacency_error(masks) -> str | None:
-    """The message a neighbour-mask list must be refused with, or None:
-    loops and out-of-range bits per vertex first, then the first asymmetric
-    pair in row-major order."""
+    """The message the bool matrix whose rows are these n masks must be
+    refused with, or None: the first loop, then the first asymmetric pair in
+    row-major order."""
     n = len(masks)
     for v, a in enumerate(masks):
         if (a >> v) & 1:
             return f"loop at vertex {v}"
-        if a >> n:
-            return f"adjacency of {v} out of range"
     for v in range(n):
         for u in range(n):
             if (masks[v] >> u) & 1 and not (masks[u] >> v) & 1:
@@ -427,7 +425,7 @@ def oracle_triangle_free_process_complement(num_vertices: int, rng: np.random.Ge
                 continue
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-    return complement(Graph.from_adj(adj))
+    return complement(Graph.from_adj(bit_matrix(adj, n)))
 
 
 def cyclic_garbage(action) -> int:

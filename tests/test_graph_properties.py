@@ -27,8 +27,12 @@ from minorforge.generators import triangle_free_process_complement
 from minorforge.graph import (
     BranchDecomposition,
     Graph,
+    _packed,
     _part_listing,
     bit_matrix,
+    complement,
+    complement_adj,
+    complement_rows,
     contract,
     from_text,
     induced_subgraph,
@@ -257,17 +261,15 @@ def test_minor_violation_part_count_matches_oracle(order, data):
 @given(data=st.data())
 def test_from_adj_refuses_one_flipped_bit_like_the_oracle(order, data):
     g, _, rnd = draw_graph(data, order)
-    assert Graph.from_adj(g.adj) == g
-    masks = list(g.adj)
-    if not masks:
-        masks = [1 << rnd.randrange(9)]  # a one-vertex list with some bit set
-    else:
-        v = rnd.randrange(len(masks))
-        masks[v] ^= 1 << rnd.randrange(len(masks) + 9)
-    expected = oracle_adjacency_error(masks)
+    mat = bit_matrix(g.adj, g.n)
+    assert Graph.from_adj(mat) == g
+    if not g.n:
+        return
+    mat[rnd.randrange(g.n), rnd.randrange(g.n)] ^= True
+    expected = oracle_adjacency_error(row_masks(mat))
     assert expected is not None
     with pytest.raises(ValueError) as exc:
-        Graph.from_adj(masks)
+        Graph.from_adj(mat)
     assert str(exc.value) == expected
 
 
@@ -291,17 +293,15 @@ def draw_matrix(data, order):
 @given(data=st.data())
 def test_from_adj_on_a_matrix_is_from_adj_on_its_masks(order, data):
     mat = draw_matrix(data, order)
-    masks = row_masks(mat)
-    expected = oracle_adjacency_error(masks)
+    expected = oracle_adjacency_error(row_masks(mat))
     if expected is None:
         g = Graph.from_adj(mat)
-        assert g == Graph.from_adj(masks)
+        assert g == Graph(len(mat), np.argwhere(np.triu(mat)).tolist())
         assert g.edge_count == int(mat.sum()) // 2
         return
-    for adj in (mat, masks):
-        with pytest.raises(ValueError) as exc:
-            Graph.from_adj(adj)
-        assert str(exc.value) == expected
+    with pytest.raises(ValueError) as exc:
+        Graph.from_adj(mat)
+    assert str(exc.value) == expected
 
 
 @pytest.mark.parametrize(
@@ -324,16 +324,24 @@ def test_from_adj_refuses_a_matrix_that_is_not_square_bool(mat):
 def test_cached_rows_are_the_bit_matrix_and_equality_ignores_them(order):
     rnd = random.Random(order)
     edges = {(u, v) for u in range(order) for v in range(u + 1, order) if rnd.random() < 0.4}
-    lazy = Graph(order, edges)
-    built = [Graph.from_adj(lazy.adj), Graph.from_adj(bit_matrix(lazy.adj, order))]
-    assert all(g == lazy and hash(g) == hash(lazy) for g in built)  # lazy has no rows yet
-    for g in [lazy] + built + [pickle.loads(pickle.dumps(g)) for g in built]:
+    built = [Graph(order, edges), Graph.from_adj(bit_matrix(Graph(order, edges).adj, order))]
+    for g in built + [pickle.loads(pickle.dumps(g)) for g in built]:
         rows = g.rows
         assert rows.shape == (order, (order + 7) // 8) and rows.dtype == np.uint8
         assert not rows.flags.writeable
-        assert g.rows is rows
+        assert np.array_equal(rows, _packed(g.adj, order))
         assert np.array_equal(unpack_rows(rows, order), bit_matrix(g.adj, order))
         assert g == Graph(order, edges) and hash(g) == hash(Graph(order, edges))
+
+
+@pytest.mark.parametrize("order", BYTE_EDGE_ORDERS)
+def test_complement_rows_are_the_packed_complement_masks(order):
+    rnd = random.Random(order)
+    for density in (0.0, 0.4, 1.0):
+        edges = {(u, v) for u in range(order) for v in range(u + 1, order) if rnd.random() < density}
+        g = Graph(order, edges)
+        assert np.array_equal(complement_rows(g), _packed(complement_adj(g), order))
+        assert complement(complement(g)) == g
 
 
 @pytest.mark.parametrize("order", BYTE_EDGE_ORDERS)
