@@ -28,7 +28,7 @@ res = prep.run(trial=0)
 h = res.h
 print("\nconstruction:")
 print(f"  clique vertices kept as singletons: {pre.k}")
-print(f"  matched pairs contracted:           {len(res.m_star.edges)}")
+print(f"  matched pairs contracted:           {len(res.m_star)}")
 print(f"  seagulls contracted:                {len(res.seagulls.triples)}")
 print(f"  minor H: {h.n} vertices, {h.edge_count} edges")
 print(f"  witness verifies: {verify_minor(g, h, res.decomposition)}")

@@ -64,7 +64,7 @@ def trial_times(prep: PreparedPipeline, trial: int) -> dict[str, float]:
     times = {}
     times["run"], res = timed(lambda: prep.run(trial))
     times["sample"], m_star = timed(lambda: prep._sample_matching(trial))
-    covered = mask_of(v for edge in m_star.edges for v in edge)
+    covered = mask_of(v for edge in m_star for v in edge)
     s_mask = g.vertex_mask & ~prep.clique & ~covered
     times["induced_subgraph"], (g_s, _) = timed(lambda: induced_subgraph(g, s_mask))
     times["seagull_partition"], _ = timed(lambda: seagull_partition(g_s))

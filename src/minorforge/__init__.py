@@ -52,7 +52,6 @@ from .graph import (
 )
 from .pairings import (
     Pairing,
-    SubMatching,
     all_pairings,
     chebyshev_bound,
     in_concentration_event,

@@ -29,38 +29,30 @@ LOCAL_SEARCH_ITERS = 60_000
 # many cliques instead of running on for an exponential time.
 CLIQUE_BUDGET = 1_000_000
 
-# _first_triangle_row's arrays stay near this many bytes; no result changes
+# find_independent_triple's arrays stay near this many bytes; no result changes
 _TRIPLE_CHUNK = 1 << 20
 
 
-def _first_triangle_row(g: Graph) -> int:
-    """First row of the first chunk of complement edges u < v, in order, whose
-    ends' packed rows share a bit, else n; no complement triangle starts before it."""
+def find_independent_triple(g: Graph) -> tuple[int, int, int] | None:
+    """The lexicographically first independent 3-set of g, or None: (u, v, w)
+    for the first complement edge u < v whose ends share a complement
+    neighbour, and w the lowest of those.  A shared w < u would put a triangle
+    on the earlier pair (w, u), and u < w < v on (u, w), so every w lies past v."""
     packed = complement_rows(g)
     n, width = packed.shape
     rows, step = max(1, _TRIPLE_CHUNK // (16 * n + 1)), max(1, _TRIPLE_CHUNK // (width + 1))
     for a in range(0, n, rows):
-        # the columns from a's byte on hold every edge u < v of these rows
+        # the columns from a's byte on hold every edge u < v of these rows, and
+        # a few v < u near the diagonal: (v, u) shares their bits and comes first
         us, vs = unpack_rows(packed[a : a + rows, a // 8 :], n - a // 8 * 8).nonzero()
         us, vs = us + a, vs + a // 8 * 8
         for e in range(0, len(us), step):
-            if (packed[us[e : e + step]] & packed[vs[e : e + step]]).any():
-                return int(us[e])
-    return n
-
-
-def find_independent_triple(g: Graph) -> tuple[int, int, int] | None:
-    """The lexicographically first independent 3-set of g, or None.  A complement triangle scan
-    starts at _first_triangle_row's row, or at 0 if > n^2/4 complement edges force one (Mantel)."""
-    start = 0 if 2 * g.n * (g.n - 1) - 4 * g.edge_count > g.n**2 else _first_triangle_row(g)
-    cadj = complement_adj(g) if start < g.n else None
-    for u in range(start, g.n):
-        for v in bits(cadj[u] >> (u + 1)):
-            v += u + 1
-            common = cadj[u] & cadj[v] & ~((1 << (v + 1)) - 1)
-            if common:
-                w = (common & -common).bit_length() - 1
-                return (u, v, w)
+            shared = packed[us[e : e + step]] & packed[vs[e : e + step]]
+            # a whole-chunk any first: the per-row any is slower, and at most one chunk hits
+            if shared.any():
+                i = int(shared.any(axis=1).argmax())
+                w = int(unpack_rows(shared[i : i + 1], n).argmax())
+                return (int(us[e + i]), int(vs[e + i]), w)
     return None
 
 

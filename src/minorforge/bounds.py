@@ -121,16 +121,15 @@ def gamma_optimize(tolerance: float = 1e-7) -> tuple[float, float]:
     return z_star, 1.0 - float(_extremal_raw(z_star))
 
 
-def zeta_monotonicity_check(grid_steps: int, fraction_fn=None) -> bool:
+def zeta_monotonicity_check(grid_steps: int) -> bool:
     """True when the missing fraction is nondecreasing in zeta on a
     grid_steps x grid_steps grid of [0,1/4] x [0,z^2], up to 1e-12 slack."""
     if grid_steps < 2:
         raise ValueError("grid_steps must be at least 2")
-    fn = fraction_fn if fraction_fn is not None else _fraction_raw
     zs = np.linspace(0.0, 0.25, grid_steps)
     for z in zs:
         zetas = np.linspace(0.0, z * z, grid_steps)
-        vals = fn(np.full_like(zetas, z), zetas)
+        vals = _fraction_raw(np.full_like(zetas, z), zetas)
         if np.any(np.diff(vals) < -1e-12):
             return False
     return True

@@ -46,7 +46,19 @@ def triangle_free_process_complement(num_vertices: int, rng: np.random.Generator
                 continue
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-    return complement(Graph.from_adj(bit_matrix(adj, n)))
+    del order  # 2n^2 bytes, freed before the n^2-byte matrices that set the peak
+    cadj = ~bit_matrix(adj, n)
+    np.fill_diagonal(cadj, False)
+    return Graph.from_adj(cadj)
+
+
+def _blowup(pattern: np.ndarray, sizes) -> Graph:
+    """Part i is sizes[i] consecutive vertices (or sizes each, for an int);
+    parts i and j are joined when pattern[i, j], a part is a clique when
+    pattern[i, i]."""
+    adj = np.repeat(np.repeat(pattern, sizes, axis=0), sizes, axis=1)
+    np.fill_diagonal(adj, False)
+    return Graph.from_adj(adj)
 
 
 def c5_blowup_complement(t: int) -> Graph:
@@ -56,14 +68,9 @@ def c5_blowup_complement(t: int) -> Graph:
         raise ValueError("t must be at least 1")
     if 5 * t > MAX_ORDER:
         raise ValueError(f"order {5 * t} exceeds the limit {MAX_ORDER}")
-    n = 5 * t
-    part = [v // t for v in range(n)]
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (part[u] - part[v]) % 5 in (1, 4):
-                edges.append((u, v))
-    return complement(Graph(n, edges))
+    # part i is joined to every part but i +- 1 (mod 5), its five-cycle neighbours
+    step = np.roll(np.eye(5, dtype=bool), 1, axis=1)
+    return _blowup(~(step | step.T), t)
 
 
 def two_clique_complement(s: int, t: int) -> Graph:
@@ -73,14 +80,7 @@ def two_clique_complement(s: int, t: int) -> Graph:
         raise ValueError("sizes must be nonnegative")
     if s + t > MAX_ORDER:
         raise ValueError(f"order {s + t} exceeds the limit {MAX_ORDER}")
-    edges = []
-    for u in range(s):
-        for v in range(u + 1, s):
-            edges.append((u, v))
-    for u in range(s, s + t):
-        for v in range(u + 1, s + t):
-            edges.append((u, v))
-    return Graph(s + t, edges)
+    return _blowup(np.eye(2, dtype=bool), (s, t))
 
 
 def _petersen() -> Graph:
@@ -129,7 +129,7 @@ def named_graph(name: str, order: int | None = None) -> Graph:
             raise UnknownName("k_n needs a nonnegative order")
         if order > MAX_ORDER:
             raise ValueError(f"order {order} exceeds the limit {MAX_ORDER}")
-        return Graph(order, [(u, v) for u in range(order) for v in range(u + 1, order)])
+        return Graph.from_adj(~np.eye(order, dtype=bool))
     if name not in _NAMED:
         raise UnknownName(f"unknown named graph {name!r}")
     return _NAMED[name]()

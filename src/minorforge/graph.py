@@ -71,11 +71,6 @@ def _packed_masks(rows: np.ndarray) -> list[int]:
     return [from_bytes(raw[i : i + width], "little") for i in range(0, count * width, width)]
 
 
-def row_masks(mat: np.ndarray) -> list[int]:
-    """The inverse of bit_matrix: one int mask per row of a bool matrix."""
-    return _packed_masks(np.packbits(mat, axis=1, bitorder="little"))
-
-
 def _part_listing(parts) -> list[tuple[int, list[int], np.ndarray]]:
     """(size, part indices, their vertices part after part) for each part
     size, in order of first appearance; parts are nonempty."""

@@ -8,6 +8,7 @@ identical arguments give identical records, and bad ones raise ValueError.
 from __future__ import annotations
 
 import inspect
+import os
 from functools import partial
 from multiprocessing import get_context
 
@@ -188,7 +189,8 @@ def expectation_bound(
     if jobs > 1:
         eligible = list(eligible)
     if jobs > 1 and eligible:
-        with get_context("fork").Pool(jobs) as pool:
+        # a pool forks all its workers up front; more than batches or cores would idle
+        with get_context("fork").Pool(min(jobs, len(eligible), os.cpu_count() or 1)) as pool:
             records = pool.map(run, eligible)
     else:
         records = [run(prep) for prep in eligible]

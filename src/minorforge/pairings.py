@@ -41,16 +41,6 @@ class Pairing:
             raise ValueError("pairs do not cover the ground set")
 
 
-@dataclass(frozen=True)
-class SubMatching:
-    """A subset of a pairing's pairs, all of them edges of a host graph."""
-
-    edges: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-
 def _canonical(pairs) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((u, v) if u < v else (v, u) for u, v in pairs))
 
@@ -128,8 +118,9 @@ def sample_conditioned(
 
 def subsample_matching(
     m: Pairing, g: Graph, count: int, rng: np.random.Generator
-) -> SubMatching:
-    """Uniform count-subset of the pairing's edges that lie in E(g)."""
+) -> tuple[tuple[int, int], ...]:
+    """Uniform count-subset of the pairing's edges that lie in E(g), as
+    sorted (low, high) pairs."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     adj = g.adj
@@ -137,7 +128,7 @@ def subsample_matching(
     if len(inside) < count:
         raise NotEnoughEdges(f"pairing has {len(inside)} graph edges, need {count}")
     idx = rng.choice(len(inside), size=count, replace=False)
-    return SubMatching(edges=tuple(sorted(inside[int(i)] for i in idx)))
+    return tuple(sorted(inside[int(i)] for i in idx))
 
 
 def chebyshev_bound(x_size: int, lam: float) -> float:

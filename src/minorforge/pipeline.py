@@ -43,7 +43,6 @@ from .graph import (
 # in_concentration_event and sample_uniform_pairing are unused here, but
 # perfbench traces the sampler by looking both up in this module
 from .pairings import (
-    SubMatching,
     in_concentration_event,
     sample_conditioned,
     sample_uniform_pairing,
@@ -134,7 +133,7 @@ class PipelineResult:
     decomposition: BranchDecomposition
     clique: int
     deleted_vertex: int | None
-    m_star: SubMatching
+    m_star: tuple[tuple[int, int], ...]  # sorted (low, high) pairs
     seagulls: SeagullPartition
     missing_edges: int
     realized_bad_triples: int
@@ -225,7 +224,7 @@ class PreparedPipeline:
                 "constructing it is out of scope here"
             )
 
-    def _sample_matching(self, trial: int) -> SubMatching:
+    def _sample_matching(self, trial: int) -> tuple[tuple[int, int], ...]:
         rng = trial_rng(self.cfg.seed, trial)
         want = self.n - 2 * self.k
         # advisory mode also conditions on having enough edges to subsample
@@ -233,8 +232,7 @@ class PreparedPipeline:
         m = sample_conditioned(self.g_prime, self.lam, MAX_REJECTION_TRIES, rng, min_edges)
         local = subsample_matching(m, self.g_prime, want, rng)
         # idx_map is increasing, so the remapped pairs stay (low, high) and sorted
-        edges = tuple((self.idx_map[u], self.idx_map[v]) for u, v in local.edges)
-        return SubMatching(edges=edges)
+        return tuple((self.idx_map[u], self.idx_map[v]) for u, v in local)
 
     def run(self, trial: int = 0) -> PipelineResult:
         self.check_eligibility()
@@ -242,7 +240,7 @@ class PreparedPipeline:
         n, k = self.n, self.k
         m_star = self._sample_matching(trial)
 
-        covered = mask_of(v for edge in m_star.edges for v in edge)
+        covered = mask_of(v for edge in m_star for v in edge)
         s_mask = g.vertex_mask & ~self.clique & ~covered
         if s_mask.bit_count() != 3 * k:
             raise MinorforgeError(
@@ -258,7 +256,7 @@ class PreparedPipeline:
         triples = tuple(sorted((s_map[a], s_map[mid], s_map[b]) for a, mid, b in part.triples))
 
         parts = [1 << zv for zv in bits(self.clique)]
-        parts += [(1 << u) | (1 << v) for u, v in m_star.edges]
+        parts += [(1 << u) | (1 << v) for u, v in m_star]
         parts += [mask_of(t) for t in triples]
         decomposition = BranchDecomposition(host=g, parts=tuple(parts))
         h = contract(g, decomposition)
@@ -273,7 +271,7 @@ class PreparedPipeline:
         # every edge of h is host-joined, so equal counts are exact.
         # near[p, c]: pair p has a host edge to vertex c, for c the clique's
         # vertices, then every pair's low end, then every pair's high end
-        lows, highs = np.array(list(zip(*m_star.edges)), dtype=np.intp).reshape(2, -1)
+        lows, highs = np.array(list(zip(*m_star)), dtype=np.intp).reshape(2, -1)
         cols = np.concatenate((np.array(list(bits(self.clique)), dtype=np.intp), lows, highs))
         near = unpack_rows(g.rows[lows] | g.rows[highs], g.n)[:, cols]
         pairs = len(lows)

@@ -237,6 +237,11 @@ def oracle_adjacency_error(masks) -> str | None:
     return None
 
 
+def row_masks(mat: np.ndarray) -> list[int]:
+    """One int mask per row of a bool matrix, read entry by entry."""
+    return [mask_of(np.flatnonzero(r).tolist()) for r in mat]
+
+
 # --- the paper's bad structures -------------------------------------------------
 
 
@@ -408,7 +413,33 @@ def oracle_seagull_partition(g: Graph) -> tuple[tuple[tuple[int, int, int], ...]
     return (tuple(out) if found else None), nodes
 
 
-# --- reference generator and garbage count --------------------------------------
+# --- reference generators and garbage count -------------------------------------
+
+
+def oracle_c5_blowup_complement(t: int) -> Graph:
+    n = 5 * t
+    part = [v // t for v in range(n)]
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (part[u] - part[v]) % 5 in (1, 4):
+                edges.append((u, v))
+    return complement(Graph(n, edges))
+
+
+def oracle_two_clique_complement(s: int, t: int) -> Graph:
+    edges = []
+    for u in range(s):
+        for v in range(u + 1, s):
+            edges.append((u, v))
+    for u in range(s, s + t):
+        for v in range(u + 1, s + t):
+            edges.append((u, v))
+    return Graph(s + t, edges)
+
+
+def oracle_k_n(order: int) -> Graph:
+    return Graph(order, [(u, v) for u in range(order) for v in range(u + 1, order)])
 
 
 def oracle_triangle_free_process_complement(num_vertices: int, rng: np.random.Generator) -> Graph:

@@ -116,12 +116,11 @@ def test_independent_triple_is_the_first_one(monkeypatch, alpha_check_cases, chu
     assert all(want[0] > g.n // 3 for g, want in alpha_check_cases[-2:])
 
 
-def test_independent_triple_of_an_edgeless_graph_at_once(monkeypatch):
-    # the complement is complete, so it has a triangle by edge count alone
-    # and the scan starts at row 0 without packing the rows
-    monkeypatch.setattr(analysis, "_first_triangle_row", None)
+def test_independent_triple_of_an_edgeless_graph_at_once():
+    # the complement is complete: the first chunk's first pair already hits
+    g = Graph(16384)
     start = time.perf_counter()
-    assert analysis.find_independent_triple(Graph(4096)) == (0, 1, 2)
+    assert analysis.find_independent_triple(g) == (0, 1, 2)
     assert time.perf_counter() - start < 1
 
 

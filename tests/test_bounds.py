@@ -116,8 +116,9 @@ def test_zeta_monotonicity_true():
     assert zeta_monotonicity_check(300)
 
 
-def test_zeta_monotonicity_detects_negated():
-    assert not zeta_monotonicity_check(50, fraction_fn=lambda z, zeta: -_fraction_raw(z, zeta))
+def test_zeta_monotonicity_detects_negated(monkeypatch):
+    monkeypatch.setattr(bounds, "_fraction_raw", lambda z, zeta: -_fraction_raw(z, zeta))
+    assert not zeta_monotonicity_check(50)
 
 
 def test_zeta_monotonicity_zero_row_trivial():

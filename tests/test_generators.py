@@ -1,8 +1,15 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from conftest import brute_max_clique_size, oracle_triangle_free_process_complement
+from conftest import (
+    brute_max_clique_size,
+    oracle_c5_blowup_complement,
+    oracle_k_n,
+    oracle_triangle_free_process_complement,
+    oracle_two_clique_complement,
+)
 from minorforge.analysis import clique_number, is_alpha_le_2
 from minorforge.errors import UnknownName
 from minorforge.generators import (
@@ -140,3 +147,26 @@ def test_tfp_800_traced_peak_below_4_mb():
         tracemalloc.stop()
     # the int64 permutation plus triu_indices alone are 12 n^2 bytes (7.7 MB)
     assert peak < 4e6
+
+
+def test_families_match_the_pair_loop_oracles():
+    cases = [(c5_blowup_complement(t), oracle_c5_blowup_complement(t)) for t in range(1, 7)]
+    sizes = [(s, t) for s in range(5) for t in range(5)]
+    cases += [(two_clique_complement(*st), oracle_two_clique_complement(*st)) for st in sizes]
+    cases += [(named_graph("k_n", n), oracle_k_n(n)) for n in range(9)]
+    for g, want in cases:
+        assert g == want and g.edge_count == want.edge_count
+        assert np.array_equal(g.rows, want.rows)
+
+
+def test_k_n_4096_traced_peak_below_64_mb():
+    named_graph("k_n", 8)  # numpy's first-use allocations
+    tracemalloc.start()
+    try:
+        g = named_graph("k_n", 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count == 4096 * 4095 // 2
+    # an edge list of its 8.4 million pairs alone is several hundred MB
+    assert peak < 64e6

@@ -20,6 +20,7 @@ from conftest import (
     oracle_induced,
     oracle_minor_violation,
     oracle_neighbours,
+    row_masks,
     vertex_mask,
 )
 from minorforge.errors import InvalidDecomposition
@@ -37,7 +38,6 @@ from minorforge.graph import (
     from_text,
     induced_subgraph,
     minor_violation,
-    row_masks,
     to_text,
     unpack_rows,
 )

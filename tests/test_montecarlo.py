@@ -64,3 +64,29 @@ def test_instance_record_keeps_only_the_counts():
             tracemalloc.stop()
     # holding every result grew the peak by about 9 KB per trial here
     assert peaks[1] - peaks[0] < 100_000
+
+
+def test_expectation_bound_pool_asks_for_no_more_workers_than_batches(monkeypatch):
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    class Context:
+        Pool = InProcessPool
+
+    monkeypatch.setattr(montecarlo, "get_context", lambda method: Context())
+    args = dict(sizes=[110], trials=4, seed=2, sweep_limit=50)
+    want = montecarlo.expectation_bound(instances=2, jobs=1, **args)
+    assert montecarlo.expectation_bound(instances=2, jobs=10**6, **args) == want
+    assert len(asked) == 1 and 1 <= asked[0] <= 2

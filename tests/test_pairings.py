@@ -173,8 +173,8 @@ def test_subsample_edges():
     with pytest.raises(NotEnoughEdges):
         subsample_matching(m, g, total + 1, rng)
     sub = subsample_matching(m, g, max(total - 1, 0), rng)
-    assert all(g.has_edge(u, v) for u, v in sub.edges)
-    assert all(e in m.pairs for e in sub.edges)
+    assert all(g.has_edge(u, v) for u, v in sub)
+    assert all(e in m.pairs for e in sub)
 
 
 def test_subsample_inclusion_probability():
@@ -183,7 +183,7 @@ def test_subsample_inclusion_probability():
     m = Pairing(ground_size=8, pairs=((0, 1), (2, 3), (4, 5), (6, 7)))
     rng = trial_rng(13)
     trials = 20000
-    hits = sum(1 for _ in range(trials) if (0, 1) in subsample_matching(m, g, 2, rng).edges)
+    hits = sum(1 for _ in range(trials) if (0, 1) in subsample_matching(m, g, 2, rng))
     est = hits / trials
     se = (est * (1 - est) / trials) ** 0.5
     assert abs(est - 0.5) <= 4 * se

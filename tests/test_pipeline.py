@@ -271,7 +271,7 @@ def test_realized_counts_are_bad_triples_of_matched_pairs(prepared240):
     triples = enumerate_bad_triples(g, prepared240.clique)
     for trial in range(25):
         res = prepared240.run(trial)
-        pairs = set(res.m_star.edges)
+        pairs = set(res.m_star)
         assert res.realized_bad_triples == sum((u, v) in pairs for _, u, v in triples)
 
 
@@ -282,7 +282,7 @@ def test_realized_quadruples_are_bad_quadruples_of_matched_pairs(prepared240):
     counts = []
     for trial in (0, 1, 12, 22):
         res = prepared240.run(trial)
-        partner = {u: v for pair in res.m_star.edges for u, v in (pair, pair[::-1])}
+        partner = {u: v for pair in res.m_star for u, v in (pair, pair[::-1])}
         matched = sorted(partner)
         sub = Graph(len(matched), oracle_induced(edges, matched))
         # a 4-set with exactly two edges, both matched pairs, is two pairs
