@@ -11,7 +11,7 @@ with no edge between them (bad quadruple).
 
 from minorforge.generators import triangle_free_process_complement
 from minorforge.graph import bits, verify_minor
-from minorforge.pipeline import PipelineConfig, PreparedPipeline, certify
+from minorforge.pipeline import PipelineConfig, PreparedPipeline
 from minorforge.rng import trial_rng
 
 print("instance: 110-vertex complement of a maximal triangle-free graph")
@@ -19,15 +19,14 @@ g = triangle_free_process_complement(110, trial_rng(1))
 
 cfg = PipelineConfig(lambda_policy="clamped", seed=7)
 prep = PreparedPipeline(g, cfg)
-pre = prep.report
-print(f"  n = {pre.n}, clique size k = {pre.k} ({pre.clique_method} search)")
-print(f"  lambda = {pre.lam:.3f}, q = 1 - 2n/lambda^2 = {pre.q:.3f}")
-print(f"  all hypothesis flags hold: {pre.strict_ok}")
+print(f"  n = {prep.n}, clique size k = {prep.k} ({prep.clique_method} search)")
+print(f"  lambda = {prep.bound.lam:.3f}, q = 1 - 2n/lambda^2 = {prep.bound.q:.3f}")
+print(f"  all hypothesis flags hold: {prep.report.strict_ok}")
 
 res = prep.run(trial=0)
 h = res.h
 print("\nconstruction:")
-print(f"  clique vertices kept as singletons: {pre.k}")
+print(f"  clique vertices kept as singletons: {prep.k}")
 print(f"  matched pairs contracted:           {len(res.m_star)}")
 print(f"  seagulls contracted:                {len(res.seagulls.triples)}")
 print(f"  minor H: {h.n} vertices, {h.edge_count} edges")
@@ -39,8 +38,7 @@ print(f"  realized bad triples: {res.realized_bad_triples}")
 print(f"  realized bad quads:   {res.realized_bad_quadruples}")
 assert res.missing_edges == res.realized_bad_triples + res.realized_bad_quadruples
 
-cert = certify(res)
-print(f"\nexpectation bound for this instance: {cert.bound:.1f} missing edges")
-print(f"this run realized {cert.observed:.0f} (single runs are samples, not tests)")
+print(f"\nexpectation bound for this instance: {prep.certified_bound():.1f} missing edges")
+print(f"this run realized {res.missing_edges} (single runs are samples, not tests)")
 frac = res.missing_edges / (h.n * (h.n - 1) / 2)
 print(f"edge density of H: {1 - frac:.4f} of all possible edges")

@@ -18,9 +18,9 @@ missing-edge accounting).  Times are paced milliseconds, as perfbench
 reports them: a call's wall time times PROBE_NOMINAL_S over the mean of
 perfbench's probe read just before and just after it, so other load on the
 machine moves them less than wall time.  `results_sha256` hashes every
-trial's counts, parts and minor adjacency, so two commits whose files show
-the same digest built the same minors: point PYTHONPATH at the other
-checkout's src/ to time it with the same script.
+trial's counts, parts and minor adjacency (perfbench's `result_bytes`), so
+two commits whose files show the same digest built the same minors: point
+PYTHONPATH at the other checkout's src/ to time it with the same script.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from minorforge.seagulls import seagull_partition
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
-from workloads import PROBE_NOMINAL_S, probe  # noqa: E402
+from workloads import PROBE_NOMINAL_S, probe, result_bytes  # noqa: E402
 
 SIZES = (400, 800, 1600)
 SEEDS = (707, 708)
@@ -74,13 +74,6 @@ def trial_times(prep: PreparedPipeline, trial: int) -> dict[str, float]:
     if h != res.h or violation is not None:
         raise SystemExit(f"trial {trial}: the stages did not rebuild the trial's minor")
     return times, res
-
-
-def result_bytes(res) -> bytes:
-    return json.dumps(
-        [res.trial, res.missing_edges, res.realized_bad_triples,
-         res.realized_bad_quadruples, list(res.decomposition.parts), list(res.h.adj)]
-    ).encode()
 
 
 def bench_instance(n: int, seed: int, digest) -> dict:

@@ -46,6 +46,7 @@ from .graph import (
     mask_of,
     minor_violation,
     read_graph,
+    text_lines,
     to_text,
     verify_minor,
     write_graph,
@@ -65,9 +66,8 @@ from .pipeline import (
     PipelineConfig,
     PipelineResult,
     PreconditionReport,
-    certify,
+    PreparedPipeline,
     certify_batch,
-    run_batch,
     run_pipeline,
     strip_clique,
 )

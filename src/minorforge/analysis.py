@@ -401,7 +401,7 @@ def min_capacity(g: Graph) -> tuple[Fraction, int]:
     return best, witness
 
 
-def _greedy_coloring_size(g: Graph) -> int:
+def greedy_coloring_size(g: Graph) -> int:
     """Number of colours used by smallest-index-first greedy colouring;
     an upper bound for the clique number."""
     color = [-1] * g.n
@@ -667,7 +667,7 @@ def seagull_conditions(g: Graph, k: int) -> SeagullConditionReport:
     conn, cut = is_k_connected_with_cut(g, k)
     # capacity: every clique C satisfies cap(C) >= (|V|-|C|)/2, so an upper
     # bound on the clique number can certify the condition without enumeration
-    omega_ub = _greedy_coloring_size(g)
+    omega_ub = greedy_coloring_size(g)
     min_cap = None
     cap_witness = None
     if Fraction(g.n - omega_ub, 2) >= k:

@@ -30,7 +30,7 @@ from .errors import (
     UnknownName,
     UnknownSuite,
 )
-from .graph import bits, from_text, to_text, write_graph
+from .graph import bits, from_text, text_lines, write_graph
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -82,7 +82,7 @@ def _cmd_gen(args) -> int:
     if args.out:
         write_graph(g, args.out)
     else:
-        sys.stdout.write(to_text(g))
+        sys.stdout.writelines(text_lines(g))
     return EXIT_OK
 
 
@@ -100,7 +100,7 @@ def _cmd_analyze(args) -> int:
     connected = analysis.is_k_connected(g, k)
     matching = analysis.complement_matching_size(g)
     fw = analysis.is_five_wheel(g)
-    cap_lb = (g.n - analysis._greedy_coloring_size(g)) / 2.0
+    cap_lb = (g.n - analysis.greedy_coloring_size(g)) / 2.0
     cap_exact = None
     if g.n <= 30:
         # lower bound <= minimum <= the working clique's capacity, so when
@@ -143,11 +143,11 @@ def _cmd_build_minor(args) -> int:
         lambda_policy=_parse_lambda(args.lam), seed=args.seed, mode=args.mode
     )
     t0 = time.monotonic()
-    result = pipeline.run_pipeline(g, cfg, trial=args.trial)
+    prep = pipeline.PreparedPipeline(g, cfg)
+    result = prep.run(args.trial)
     elapsed = time.monotonic() - t0
     try:
-        cert = pipeline.certify(result)
-        cert_status, cert_bound = cert.status, cert.bound
+        cert_status, cert_bound = "sample", prep.certified_bound()
     except NotCertifiable as exc:
         cert_status, cert_bound = f"NotCertifiable: {exc}", None
     if args.out_h:
@@ -158,7 +158,6 @@ def _cmd_build_minor(args) -> int:
                 verts = " ".join(str(v + 1) for v in bits(part))
                 fh.write(f"part {i}: {verts}\n")
             fh.write(result.seagulls.serialize())
-    pre = result.preconditions
     rec = {
         "record": "build-minor",
         "input": args.graph,
@@ -166,24 +165,24 @@ def _cmd_build_minor(args) -> int:
         "seed": args.seed,
         "trial": args.trial,
         "mode": args.mode,
-        "lambda": pre.lam,
-        "n": pre.n,
-        "k": pre.k,
-        "x": pre.x,
-        "q": pre.q,
-        "clique_method": pre.clique_method,
-        "strict_ok": pre.strict_ok,
+        "lambda": prep.bound.lam,
+        "n": prep.n,
+        "k": prep.k,
+        "x": prep.x,
+        "q": prep.bound.q,
+        "clique_method": prep.clique_method,
+        "strict_ok": prep.report.strict_ok,
         "h_vertices": result.h.n,
         "h_edges": result.h.edge_count,
         "missing_edges": result.missing_edges,
         "realized_bad_triples": result.realized_bad_triples,
         "realized_bad_quadruples": result.realized_bad_quadruples,
         "deleted_vertex": None
-        if result.deleted_vertex is None
-        else result.deleted_vertex + 1,
-        "a": result.bound.a,
-        "b": result.bound.b,
-        "missing_bound": result.bound.missing_bound,
+        if prep.deleted_vertex is None
+        else prep.deleted_vertex + 1,
+        "a": prep.bound.a,
+        "b": prep.bound.b,
+        "missing_bound": prep.bound.missing_bound,
         "certificate": cert_status,
         "certificate_bound": cert_bound,
     }

@@ -376,10 +376,16 @@ def verify_minor(g: Graph, h: Graph, d: BranchDecomposition) -> bool:
 MAX_ORDER = 1 << 15
 
 
+def text_lines(g: Graph) -> Iterator[str]:
+    """The text format of g in pieces: the p line, then the e lines of one
+    vertex row at a time, so a writer never holds the whole text."""
+    yield f"p {g.n} {g.edge_count}\n"
+    for u in range(g.n):
+        yield "".join(f"e {u + 1} {u + 2 + v}\n" for v in bits(g.adj[u] >> (u + 1)))
+
+
 def to_text(g: Graph) -> str:
-    lines = [f"p {g.n} {g.edge_count}"]
-    lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    return "".join(text_lines(g))
 
 
 def from_text(text: str) -> Graph:
@@ -431,7 +437,7 @@ def from_text(text: str) -> Graph:
 
 def write_graph(g: Graph, path) -> None:
     with open(path, "w") as fh:
-        fh.write(to_text(g))
+        fh.writelines(text_lines(g))
 
 
 def read_graph(path) -> Graph:

@@ -100,17 +100,15 @@ def chebyshev(trials: int, seed: int) -> list[dict]:
 
 def _instance_record(prep: pipeline.PreparedPipeline, trials: int) -> dict:
     """Run `trials` trials on one prepared strict-eligible instance and
-    certify their mean missing-edge count.  Only the first result and the
-    counts are kept: a result holds the minor and its witness."""
-    first = prep.run(0)
-    missing = [first.missing_edges]
-    max_triples, max_quads = first.realized_bad_triples, first.realized_bad_quadruples
-    for t in range(1, trials):
+    certify their mean missing-edge count.  Only the counts are kept: a
+    result holds the minor and its witness."""
+    missing, max_triples, max_quads = [], 0, 0
+    for t in range(trials):
         res = prep.run(t)
         missing.append(res.missing_edges)
         max_triples = max(max_triples, res.realized_bad_triples)
         max_quads = max(max_quads, res.realized_bad_quadruples)
-    cert = pipeline._batch_certificate(pipeline._certified_bound(first), missing)
+    cert = pipeline.certify_batch(prep.certified_bound(), missing)
     return _record(
         "expectation-bound", "mean missing edges vs expectation bound",
         cert.observed, cert.stderr, cert.bound, cert.status == "PASS",

@@ -22,7 +22,7 @@ from math import comb
 import numpy as np
 
 from .analysis import clique_stats, find_independent_triple, working_clique
-from .bounds import BoundReport, compute_bound_report
+from .bounds import compute_bound_report
 from .errors import (
     AlphaTooLarge,
     Ineligible,
@@ -85,33 +85,22 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class PreconditionReport:
-    """Hypothesis flags plus the derived scalars of one instance.
+    """The hypothesis flags of one instance.
 
-    q = 1 - 2n/lambda^2 is recorded even when nonpositive (then flagged
-    invalid via lambda_sq_gt_2n).  complement_degree_le_k checks that no
-    vertex has more than k non-neighbours, which is what the expectation
-    bound actually consumes; it holds automatically when the clique is
-    maximum.
+    complement_degree_le_k checks that no vertex has more than k
+    non-neighbours, which is what the expectation bound actually consumes;
+    it holds automatically when the clique is maximum.
     """
 
     clique_below_quarter: bool
     lambda_le_half_k_minus_1: bool
     lambda_sq_gt_2n: bool
-    matching_count_nonneg: bool
     complement_degree_le_k: bool
-    n: int
-    k: int
-    x: int
-    lam: float
-    q: float
-    mode: str
-    clique_method: str
 
     FLAGS = (
         "clique_below_quarter",
         "lambda_le_half_k_minus_1",
         "lambda_sq_gt_2n",
-        "matching_count_nonneg",
         "complement_degree_le_k",
     )
 
@@ -127,28 +116,24 @@ class PreconditionReport:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """One construction run: the minor, its witness, and exact accounting."""
+    """One trial: the minor, its witness, and exact accounting.  The
+    instance's clique, bound and flags live on its PreparedPipeline."""
 
     h: Graph
     decomposition: BranchDecomposition
-    clique: int
-    deleted_vertex: int | None
     m_star: tuple[tuple[int, int], ...]  # sorted (low, high) pairs
     seagulls: SeagullPartition
     missing_edges: int
     realized_bad_triples: int
     realized_bad_quadruples: int
-    bound: BoundReport
-    preconditions: PreconditionReport
     trial: int
-    seed: int
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """Comparison of observed missing edges against the expectation bound."""
+    """Comparison of a batch's missing edges against the expectation bound."""
 
-    status: str          # "sample" | "PASS" | "FAIL"
+    status: str          # "PASS" | "FAIL"
     bound: float
     observed: float
     trials: int
@@ -180,9 +165,11 @@ def resolve_lambda(policy, n: int, k: int) -> Fraction:
 
 class PreparedPipeline:
     """Instance-level state shared by all trials on one graph: the clique,
-    its statistics, the ground graph for pairings and the lambda value.
-    Out-of-domain graphs (odd order, |V| < 6, an independent triple) are
-    refused at construction, before the clique search."""
+    its statistics, the ground graph for pairings, the lambda value, the
+    bound report (whose q = 1 - 2n/lambda^2 is kept even when nonpositive)
+    and the hypothesis flags.  Out-of-domain graphs (odd order, |V| < 6, an
+    independent triple) are refused at construction, before the clique
+    search."""
 
     def __init__(self, g: Graph, cfg: PipelineConfig):
         if g.n % 2 or g.n < 6:
@@ -205,24 +192,23 @@ class PreparedPipeline:
             clique_below_quarter=(4 * self.k < g.n),
             lambda_le_half_k_minus_1=(0 < self.lam <= Fraction(self.k - 1, 2)),
             lambda_sq_gt_2n=(self.lam * self.lam > 2 * self.n),
-            matching_count_nonneg=(self.n - 2 * self.k >= 0),
             complement_degree_le_k=(max_nonnb <= self.k),
-            n=self.n,
-            k=self.k,
-            x=self.x,
-            lam=self.bound.lam,
-            q=self.bound.q,
-            mode=cfg.mode,
-            clique_method=self.clique_method,
         )
 
-    def check_eligibility(self) -> None:
-        if not self.report.clique_below_quarter:
-            raise Ineligible(
-                f"clique number {self.k} >= |V|/4 = {self.g.n / 4}: a complete "
-                "minor on |V|/2 vertices exists by the packing characterisation; "
-                "constructing it is out of scope here"
-            )
+    def certified_bound(self) -> float:
+        """The expectation bound this instance's strict runs are certified
+        against; raises NotCertifiable with the first reason it does not
+        apply."""
+        pre = self.report
+        if self.cfg.mode != "strict":
+            raise NotCertifiable("advisory mode carries no expectation certificate")
+        if not pre.lambda_sq_gt_2n:
+            raise NotCertifiable("lambda^2 <= 2n")
+        if pre.failed_flags:
+            raise NotCertifiable(f"hypothesis flags failed: {', '.join(pre.failed_flags)}")
+        if self.bound.missing_bound is None:
+            raise NotCertifiable("bound undefined for these parameters")
+        return self.bound.missing_bound
 
     def _sample_matching(self, trial: int) -> tuple[tuple[int, int], ...]:
         rng = trial_rng(self.cfg.seed, trial)
@@ -235,8 +221,13 @@ class PreparedPipeline:
         return tuple((self.idx_map[u], self.idx_map[v]) for u, v in local)
 
     def run(self, trial: int = 0) -> PipelineResult:
-        self.check_eligibility()
         g = self.g
+        if not self.report.clique_below_quarter:
+            raise Ineligible(
+                f"clique number {self.k} >= |V|/4 = {g.n / 4}: a complete "
+                "minor on |V|/2 vertices exists by the packing characterisation; "
+                "constructing it is out of scope here"
+            )
         n, k = self.n, self.k
         m_star = self._sample_matching(trial)
 
@@ -289,17 +280,12 @@ class PreparedPipeline:
         return PipelineResult(
             h=h,
             decomposition=decomposition,
-            clique=self.clique,
-            deleted_vertex=self.deleted_vertex,
             m_star=m_star,
             seagulls=SeagullPartition(triples=triples),
             missing_edges=missing,
             realized_bad_triples=bad_triples,
             realized_bad_quadruples=bad_quads,
-            bound=self.bound,
-            preconditions=self.report,
             trial=trial,
-            seed=self.cfg.seed,
         )
 
 
@@ -307,52 +293,15 @@ def run_pipeline(g: Graph, cfg: PipelineConfig, trial: int = 0) -> PipelineResul
     return PreparedPipeline(g, cfg).run(trial)
 
 
-def run_batch(g: Graph, cfg: PipelineConfig, trials: int) -> list[PipelineResult]:
-    prep = PreparedPipeline(g, cfg)
-    return [prep.run(t) for t in range(trials)]
-
-
-def _certified_bound(result: PipelineResult) -> float:
-    """The expectation bound a strict run is certified against; raises
-    NotCertifiable with the first reason the bound does not apply."""
-    pre = result.preconditions
-    if pre.mode != "strict":
-        raise NotCertifiable("advisory mode carries no expectation certificate")
-    if not pre.lambda_sq_gt_2n:
-        raise NotCertifiable("lambda^2 <= 2n")
-    if pre.failed_flags:
-        raise NotCertifiable(f"hypothesis flags failed: {', '.join(pre.failed_flags)}")
-    if result.bound.missing_bound is None:
-        raise NotCertifiable("bound undefined for these parameters")
-    return result.bound.missing_bound
-
-
-def certify(result: PipelineResult) -> Certificate:
-    """Single-run certificate: the bound applies to an expectation, so one
-    run is only a sample, never PASS/FAIL."""
-    return Certificate(
-        status="sample",
-        bound=_certified_bound(result),
-        observed=float(result.missing_edges),
-        trials=1,
-        stderr=float("nan"),
-    )
-
-
-def certify_batch(results: list[PipelineResult]) -> Certificate:
-    """PASS when the mean missing-edge count respects the expectation bound
-    within three standard errors."""
-    if not results:
+def certify_batch(bound: float, missing: list[int]) -> Certificate:
+    """PASS when the mean of a batch's missing-edge counts respects the
+    certified bound (PreparedPipeline.certified_bound) within three
+    standard errors."""
+    if not missing:
         raise NotCertifiable("empty batch")
-    return _batch_certificate(_certified_bound(results[0]), [r.missing_edges for r in results])
-
-
-def _batch_certificate(bound: float, vals: list[int]) -> Certificate:
-    """certify_batch's verdict on the missing-edge counts of a nonempty
-    batch, in trial order, against its certified bound."""
-    t = len(vals)
-    mean = sum(vals) / t
-    var = sum((v - mean) ** 2 for v in vals) / (t - 1) if t > 1 else 0.0
+    t = len(missing)
+    mean = sum(missing) / t
+    var = sum((v - mean) ** 2 for v in missing) / (t - 1) if t > 1 else 0.0
     sem = (var / t) ** 0.5
     status = "PASS" if mean <= bound + 3 * sem else "FAIL"
     return Certificate(status=status, bound=bound, observed=mean, trials=t, stderr=sem)

@@ -187,9 +187,10 @@ def test_06_partition_guarantee():
         assert found[12] + found[15] >= 100, found
 
 
-def _structural(g, res):
+def _structural(prep, res):
+    g = prep.g
     n = g.n // 2
-    k = res.preconditions.k
+    k = prep.k
     assert res.h.n == n
     assert verify_minor(g, res.h, res.decomposition)
     assert res.seagulls.vertex_mask().bit_count() == 3 * k
@@ -205,7 +206,7 @@ def test_07_pipeline_structural_suite():
             s = prep.stats
             for trial in range(4):
                 res = prep.run(trial)
-                _structural(g, res)
+                _structural(prep, res)
                 _ALL_RUNS.append(
                     (s.k, s.a, s.b, res.realized_bad_triples, res.realized_bad_quadruples)
                 )
@@ -236,7 +237,7 @@ def test_08_expectation_bound():
         for g, prep in eligible:
             results = [prep.run(t) for t in range(trials_per)]
             total_trials += len(results)
-            cert = certify_batch(results)
+            cert = certify_batch(prep.certified_bound(), [r.missing_edges for r in results])
             assert cert.status == "PASS", (
                 f"mean {cert.observed:.1f} > bound {cert.bound:.1f} + 3*{cert.stderr:.2f}"
             )

@@ -1,4 +1,6 @@
 import math
+import os
+import tracemalloc
 
 import pytest
 
@@ -17,8 +19,10 @@ from minorforge.graph import (
     is_connected_subset,
     mask_of,
     minor_violation,
+    text_lines,
     to_text,
     verify_minor,
+    write_graph,
 )
 from minorforge.rng import trial_rng
 
@@ -158,6 +162,33 @@ def test_text_format_shape():
     assert to_text(g) == "p 3 1\ne 1 3\n"
     parsed = from_text("c comment line\np 3 1\ne 1 3\n")
     assert parsed == g
+
+
+def test_text_lines_are_the_text_a_row_at_a_time(tmp_path):
+    graphs = [Graph(0), Graph(1), Graph(3, [(0, 2)]), k_n(5)]
+    graphs += [triangle_free_process_complement(13, trial_rng(5, i)) for i in range(3)]
+    for g in graphs:
+        pieces = list(text_lines(g))
+        lines = [f"p {g.n} {g.edge_count}"] + [f"e {u + 1} {v + 1}" for u, v in g.edges()]
+        assert "".join(pieces) == to_text(g) == "\n".join(lines) + "\n"
+        # after the p line, one piece per vertex row, holding that row's edges
+        assert pieces[0] == lines[0] + "\n" and len(pieces) == g.n + 1
+        for u, piece in enumerate(pieces[1:], start=1):
+            assert all(line.split()[1] == str(u) for line in piece.splitlines())
+        write_graph(g, tmp_path / "g.txt")
+        assert (tmp_path / "g.txt").read_text() == to_text(g)
+
+
+def test_write_graph_streams_the_text():
+    g = k_n(1024)  # 523,776 e lines, about 7 MB of text
+    tracemalloc.start()
+    try:
+        write_graph(g, os.devnull)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one joined string of every line peaked at about 45 MB here
+    assert peak < 1e6
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,7 +49,7 @@ def test_expectation_bound_prepares_each_swept_instance_once(monkeypatch):
 def test_instance_record_keeps_only_the_counts():
     prep = next(montecarlo._eligible_instances([110], 1, 2, 50))
     results = [prep.run(t) for t in range(40)]
-    cert = pipeline.certify_batch(results)
+    cert = pipeline.certify_batch(prep.certified_bound(), [r.missing_edges for r in results])
     rec = montecarlo._instance_record(prep, 40)
     assert (rec["estimate"], rec["stderr"], rec["bound"]) == (cert.observed, cert.stderr, cert.bound)
     assert rec["max_bad_triples"] == max(r.realized_bad_triples for r in results)
@@ -64,6 +65,16 @@ def test_instance_record_keeps_only_the_counts():
             tracemalloc.stop()
     # holding every result grew the peak by about 9 KB per trial here
     assert peaks[1] - peaks[0] < 100_000
+
+
+def test_certified_bound_needs_no_trial_and_is_the_mc_bound(monkeypatch):
+    prep = next(montecarlo._eligible_instances([110], 1, 2, 50))
+    with monkeypatch.context() as m:
+        m.setattr(pipeline.PreparedPipeline, "run", lambda self, trial=0: pytest.fail("a trial ran"))
+        bound = prep.certified_bound()
+    assert bound == prep.bound.missing_bound
+    (rec,) = montecarlo.expectation_bound([110], instances=1, trials=4, seed=2, sweep_limit=50)
+    assert (rec["instance_seed"], rec["bound"]) == (prep.cfg.seed, bound)
 
 
 def test_expectation_bound_pool_asks_for_no_more_workers_than_batches(monkeypatch):

@@ -32,10 +32,8 @@ from minorforge.graph import Graph, bits, mask_of, verify_minor
 from minorforge.pipeline import (
     PipelineConfig,
     PreparedPipeline,
-    certify,
     certify_batch,
     resolve_lambda,
-    run_batch,
     run_pipeline,
     strip_clique,
 )
@@ -146,24 +144,22 @@ def test_preconditions_odd_order():
 
 
 def test_preconditions_q_recorded_when_invalid():
-    pre = PreparedPipeline(k_n(8), PipelineConfig(lambda_policy=Fraction(1))).report
-    assert pre.q < 0 and not pre.lambda_sq_gt_2n
+    prep = PreparedPipeline(k_n(8), PipelineConfig(lambda_policy=Fraction(1)))
+    assert prep.bound.q < 0 and not prep.report.lambda_sq_gt_2n
 
 
 def test_failed_flags_in_declared_order():
     pre = PreparedPipeline(k_n(8), PipelineConfig(lambda_policy=Fraction(1))).report
-    assert pre.failed_flags == (
-        "clique_below_quarter", "lambda_sq_gt_2n", "matching_count_nonneg"
-    )
+    assert pre.failed_flags == ("clique_below_quarter", "lambda_sq_gt_2n")
     assert not pre.strict_ok
 
 
 def test_preconditions_strict_instance(prepared110):
-    pre = prepared110.report
-    assert pre.strict_ok
-    assert pre.clique_method == "exact"
-    assert pre.n == 55 and pre.x >= 2 * pre.n - pre.k - 1
-    assert pre.q == pytest.approx(1 - 2 * pre.n / pre.lam**2)
+    prep = prepared110
+    assert prep.report.strict_ok
+    assert prep.clique_method == "exact"
+    assert prep.n == 55 and prep.x >= 2 * prep.n - prep.k - 1
+    assert prep.bound.q == pytest.approx(1 - 2 * prep.n / prep.bound.lam**2)
 
 
 def test_resolve_lambda_policies():
@@ -315,9 +311,10 @@ def test_accounting_catches_a_dropped_minor_edge(monkeypatch, prepared240, kind)
         prepared240.run(0)
 
 
-def _structural_checks(g, res):
+def _structural_checks(prep, res):
+    g = prep.g
     n = g.n // 2
-    k = res.preconditions.k
+    k = prep.k
     assert res.h.n == n
     assert verify_minor(g, res.h, res.decomposition)
     assert len(res.decomposition.parts) == n
@@ -326,18 +323,17 @@ def _structural_checks(g, res):
     assert res.seagulls.vertex_mask().bit_count() == 3 * k
     assert res.missing_edges == math.comb(n, 2) - res.h.edge_count
     assert res.missing_edges == res.realized_bad_triples + res.realized_bad_quadruples
-    stats = clique_stats(g, res.clique)
+    stats = clique_stats(g, prep.clique)
     assert res.realized_bad_triples <= stats.a * (stats.k - 1) / 2
     assert res.realized_bad_quadruples <= stats.b * (stats.k - 1) ** 2 / 4
 
 
-def test_pipeline_strict_run_exact_path(instance110, prepared110):
+def test_pipeline_strict_run_exact_path(prepared110):
     res = prepared110.run(0)
-    assert prepared110.report.clique_method == "exact"
-    _structural_checks(instance110, res)
+    assert prepared110.clique_method == "exact"
+    _structural_checks(prepared110, res)
     # minor vertices from seagull and clique parts are complete to the rest
-    cert = certify(res)
-    assert cert.status == "sample" and cert.bound > 0
+    assert prepared110.certified_bound() > 0
 
 
 def test_pipeline_deterministic_replay(instance110):
@@ -358,40 +354,40 @@ def test_pipeline_trials_differ(prepared110):
 
 def test_pipeline_advisory_mode(instance110):
     cfg = PipelineConfig(lambda_policy="clamped", seed=5, mode="advisory")
-    res = run_pipeline(instance110, cfg)
-    _structural_checks(instance110, res)
+    prep = PreparedPipeline(instance110, cfg)
+    _structural_checks(prep, prep.run(0))
     with pytest.raises(NotCertifiable):
-        certify(res)
+        prep.certified_bound()
 
 
 def test_certify_q_gate(instance110):
     cfg = PipelineConfig(lambda_policy=Fraction(5), seed=5)  # lambda^2 = 25 <= 110
-    res = run_pipeline(instance110, cfg)
+    prep = PreparedPipeline(instance110, cfg)
+    prep.run(0)
     with pytest.raises(NotCertifiable, match="lambda"):
-        certify(res)
+        prep.certified_bound()
 
 
-def test_certify_and_certify_batch_refuse_alike(instance110):
-    res = run_pipeline(instance110, PipelineConfig(seed=0))  # n23: lambda > (k-1)/2
-    for cert in (certify, lambda r: certify_batch([r])):
-        with pytest.raises(NotCertifiable) as exc:
-            cert(res)
-        assert str(exc.value) == "hypothesis flags failed: lambda_le_half_k_minus_1"
+def test_certified_bound_names_the_failed_flag(instance110):
+    prep = PreparedPipeline(instance110, PipelineConfig(seed=0))  # n23: lambda > (k-1)/2
+    prep.run(0)
+    with pytest.raises(NotCertifiable) as exc:
+        prep.certified_bound()
+    assert str(exc.value) == "hypothesis flags failed: lambda_le_half_k_minus_1"
 
 
 def test_certify_batch(instance110):
-    results = run_batch(instance110, PipelineConfig(lambda_policy="clamped", seed=11), 8)
-    cert = certify_batch(results)
+    prep = PreparedPipeline(instance110, PipelineConfig(lambda_policy="clamped", seed=11))
+    missing = [prep.run(t).missing_edges for t in range(8)]
+    cert = certify_batch(prep.certified_bound(), missing)
     assert cert.status in ("PASS", "FAIL")
-    assert cert.trials == 8
-    assert cert.observed == pytest.approx(
-        sum(r.missing_edges for r in results) / 8
-    )
+    assert cert.trials == 8 and cert.bound == prep.bound.missing_bound
+    assert cert.observed == pytest.approx(sum(missing) / 8)
 
 
 def test_batch_uses_distinct_trials(instance110):
-    results = run_batch(instance110, PipelineConfig(lambda_policy="clamped", seed=2), 4)
-    assert len({r.m_star for r in results}) > 1
+    prep = PreparedPipeline(instance110, PipelineConfig(lambda_policy="clamped", seed=2))
+    assert len({prep.run(t).m_star for t in range(4)}) > 1
 
 
 def test_seagull_failure_is_loud(instance110, monkeypatch):
