@@ -20,7 +20,7 @@ g = triangle_free_process_complement(110, trial_rng(1))
 cfg = PipelineConfig(lambda_policy="clamped", seed=7)
 prep = PreparedPipeline(g, cfg)
 print(f"  n = {prep.n}, clique size k = {prep.k} ({prep.clique_method} search)")
-print(f"  lambda = {prep.bound.lam:.3f}, q = 1 - 2n/lambda^2 = {prep.bound.q:.3f}")
+print(f"  lambda = {float(prep.lam):.3f}, q = 1 - 2n/lambda^2 = {prep.bound.q:.3f}")
 print(f"  all hypothesis flags hold: {prep.report.strict_ok}")
 
 res = prep.run(trial=0)

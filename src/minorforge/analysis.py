@@ -202,14 +202,16 @@ def _bulk_randrange(rnd: random.Random, n: int, count: int):
     range(count)], for 1 <= n < 2**32.
 
     CPython's randrange(n) takes the top n.bit_length() bits of one 32-bit
-    output and draws again while the value is >= n; getrandbits(32 * b)
-    packs b successive outputs, the first one least significant.  The last
-    block may consume outputs past the count, so rnd is spent after.
+    Mersenne Twister output and draws again while the value is >= n.  numpy's
+    MT19937, given rnd's key and position, continues the same output stream;
+    rnd itself is not advanced.
     """
     shift = 32 - n.bit_length()
+    *key, pos = rnd.getstate()[1]
+    mt = np.random.MT19937(0)
+    mt.state = {"bit_generator": "MT19937", "state": {"key": np.array(key, np.uint32), "pos": pos}}
     while count > 0:
-        raw = rnd.getrandbits(32 * _DRAW_BLOCK).to_bytes(4 * _DRAW_BLOCK, "little")
-        vals = np.frombuffer(raw, "<u4") >> shift
+        vals = mt.random_raw(_DRAW_BLOCK) >> shift
         vals = vals[vals < n][:count].astype(np.intp)
         count -= len(vals)
         yield vals
@@ -222,11 +224,11 @@ def large_clique(g: Graph) -> int:
     clique mask found; no maximality certificate.  Fixed seeds make the
     result a pure function of the graph.
 
-    Each restart makes LOCAL_SEARCH_ITERS uniform vertex draws, but only a
-    draw outside the set with at most one complement neighbour in it can
-    change the set.  Tightness counters (Andrade, Resende & Werneck, J.
-    Heuristics 2012) find those draws, so the cost follows the number of
-    moves rather than the number of draws.
+    Each restart makes LOCAL_SEARCH_ITERS uniform vertex draws.  The set is
+    kept maximal, so only a draw outside it with exactly one complement
+    neighbour in it can change it, by a swap.  Tightness counters (Andrade,
+    Resende & Werneck, J. Heuristics 2012) find those draws, so the cost
+    follows the number of moves rather than the number of draws.
     """
     n = g.n
     if n == 0:
@@ -235,9 +237,10 @@ def large_clique(g: Graph) -> int:
     # inc[x] (x's complement row, 2 at x) is what adding x adds to the state
     # below; no state entry exceeds max(D, 3), D the complement's max degree
     inc = unpack_rows(complement_rows(g), n).view(np.int8)
-    cn = [row.nonzero()[0] for row in inc]  # complement neighbours, for re-adds
-    dtype = np.min_scalar_type(-4 - max(map(len, cn)))  # holds D + 3
     np.fill_diagonal(inc, 2)
+    dtype = np.min_scalar_type(-4 - max(c.bit_count() for c in cadj))  # holds D + 3
+    two = dtype.type(2)
+    low = np.empty(_SCAN_WINDOW, dtype=bool)  # a window's draws with state <= 1
     best_mask = 1
     best_size = 1
     for seed in range(LOCAL_SEARCH_RESTARTS):
@@ -250,40 +253,40 @@ def large_clique(g: Graph) -> int:
             if not (forb >> v) & 1:
                 cur |= 1 << v
                 forb |= (1 << v) | cadj[v]
-        cursize = cur.bit_count()
-        if cursize > best_size:
-            best_size, best_mask = cursize, cur
+        if cur.bit_count() > best_size:
+            best_size, best_mask = cur.bit_count(), cur
         # state[x] = 2 * (x in the set) + the number of x's complement
         # neighbours in it; a set vertex has none, so state[x] <= 1 exactly
-        # when a draw of x can change the set, and 0 when x could join it
+        # when a draw of x can change the set.  The set is maximal, so no
+        # entry is 0 between moves
         state = inc[list(bits(cur))].sum(axis=0, dtype=dtype)
         for draws in _bulk_randrange(rnd, n, LOCAL_SEARCH_ITERS):
             p = 0
             while p < len(draws):
-                hits = (state[draws[p : p + _SCAN_WINDOW]] <= 1).nonzero()[0]
-                if not len(hits):
+                window = state[draws[p : p + _SCAN_WINDOW]]
+                hits = low if len(window) == _SCAN_WINDOW else low[: len(window)]
+                np.less(window, two, out=hits)
+                i = int(hits.argmax())
+                if not hits[i]:
                     p += _SCAN_WINDOW
                     continue
-                i = p + int(hits[0])
+                i += p
                 v = int(draws[i])
                 p = i + 1
-                nb = cadj[v] & cur
+                u = (cadj[v] & cur).bit_length() - 1  # v's one neighbour in the set
+                cur ^= (1 << u) | (1 << v)
                 np.add(state, inc[v], out=state)
-                if not nb:
-                    cur |= 1 << v
-                    cursize += 1
-                else:
-                    u = nb.bit_length() - 1
-                    cur = (cur ^ nb) | (1 << v)
-                    np.subtract(state, inc[u], out=state)
-                    # the loop only adds, so a vertex blocked now stays blocked
-                    for x in cn[u][state[cn[u]] == 0].tolist():
+                np.subtract(state, inc[u], out=state)
+                # the zeros now are the complement neighbours of u that the
+                # swap freed; the loop only adds, so a vertex blocked now
+                # stays blocked
+                if np.count_nonzero(state) != n:
+                    for x in np.flatnonzero(state == 0).tolist():
                         if not (cadj[x] & cur):
                             cur |= 1 << x
                             np.add(state, inc[x], out=state)
-                    cursize = cur.bit_count()
-                if cursize > best_size:
-                    best_size, best_mask = cursize, cur
+                    if cur.bit_count() > best_size:
+                        best_size, best_mask = cur.bit_count(), cur
     return best_mask
 
 

@@ -137,15 +137,11 @@ def zeta_monotonicity_check(grid_steps: int) -> bool:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Scalar inputs and evaluated bounds for one pipeline instance.
+    """Evaluated bounds for one pipeline instance; its inputs (n, k, a, b
+    and lambda) live on the PreparedPipeline.
 
-    missing_edge_bound and p are None when the hypothesis flags fail."""
+    missing_bound and p are None when the hypothesis flags fail."""
 
-    n: int
-    k: int
-    a: int
-    b: int
-    lam: float
     p: float | None
     q: float
     missing_bound: float | None
@@ -167,7 +163,4 @@ def compute_bound_report(n: int, k: int, a: int, b: int, lam: float) -> BoundRep
         bound = None
     z = k / (2.0 * n) if n else 0.0
     zeta = a / (4.0 * n * n) if n else 0.0
-    return BoundReport(
-        n=n, k=k, a=a, b=b, lam=lam, p=p, q=q,
-        missing_bound=bound, z=z, zeta=zeta,
-    )
+    return BoundReport(p=p, q=q, missing_bound=bound, z=z, zeta=zeta)

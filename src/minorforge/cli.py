@@ -165,7 +165,7 @@ def _cmd_build_minor(args) -> int:
         "seed": args.seed,
         "trial": args.trial,
         "mode": args.mode,
-        "lambda": prep.bound.lam,
+        "lambda": float(prep.lam),
         "n": prep.n,
         "k": prep.k,
         "x": prep.x,
@@ -180,8 +180,8 @@ def _cmd_build_minor(args) -> int:
         "deleted_vertex": None
         if prep.deleted_vertex is None
         else prep.deleted_vertex + 1,
-        "a": prep.bound.a,
-        "b": prep.bound.b,
+        "a": prep.stats.a,
+        "b": prep.stats.b,
         "missing_bound": prep.bound.missing_bound,
         "certificate": cert_status,
         "certificate_bound": cert_bound,

@@ -380,8 +380,11 @@ def text_lines(g: Graph) -> Iterator[str]:
     """The text format of g in pieces: the p line, then the e lines of one
     vertex row at a time, so a writer never holds the whole text."""
     yield f"p {g.n} {g.edge_count}\n"
+    ends = [f"{v + 1}\n" for v in range(g.n)]
     for u in range(g.n):
-        yield "".join(f"e {u + 1} {u + 2 + v}\n" for v in bits(g.adj[u] >> (u + 1)))
+        head = f"e {u + 1} "
+        later = np.flatnonzero(unpack_rows(g.rows[u : u + 1], g.n)[0, u + 1 :]) + (u + 1)
+        yield "".join([head + ends[v] for v in later.tolist()])
 
 
 def to_text(g: Graph) -> str:

@@ -25,9 +25,16 @@ def _record(suite, quantity, estimate, stderr, bound, passed, **extra) -> dict:
             "stderr": stderr, "bound": bound, "pass": passed, **extra}
 
 
-def _check_trials(trials: int) -> None:
+# The pairing suites hold three trials x |X| int64 arrays and chebyshev one
+# trials x 50; a larger product is refused before anything is allocated.
+MAX_CELLS = 2**25
+
+
+def _check_trials(trials: int, width: int = 0) -> None:
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if trials * width > MAX_CELLS:
+        raise ValueError(f"trials x {width} = {trials * width} cells exceeds the limit {MAX_CELLS}")
 
 
 def _permutations(x: int, trials: int, rng) -> np.ndarray:
@@ -51,7 +58,7 @@ def sample_partners(x: int, trials: int, rng) -> np.ndarray:
 def pairing(x: int, trials: int, seed: int, joint: bool = False) -> list[dict]:
     """Estimate Pr[(1,2) is a pair] (target 1/(x-1)) or, with `joint`,
     Pr[(1,2) and (3,4) are pairs] (target 1/((x-1)(x-3)))."""
-    _check_trials(trials)
+    _check_trials(trials, x)
     if joint and x < 4:
         raise ValueError(f"two disjoint pairs need a ground set of at least 4, got {x}")
     partner = sample_partners(x, trials, trial_rng(seed, 0))
@@ -71,7 +78,7 @@ def pairing(x: int, trials: int, seed: int, joint: bool = False) -> list[dict]:
 def chebyshev(trials: int, seed: int) -> list[dict]:
     """Tail of the number of pairs landing in a fixed edge set F against the
     Chebyshev bound, over |X| in {20, 50}, two densities and three lambdas."""
-    _check_trials(trials)
+    _check_trials(trials, 50)
     records = []
     stream = 0
     for x in (20, 50):

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -225,16 +226,34 @@ def test_large_clique_matches_reference_search_with_either_state_dtype(monkeypat
         assert (max(g.n - 1 - g.degree(v) for v in range(g.n)) + 3 > 127) == wide
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 1600, 32768])
+@pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 1600, 32768, 2**31 - 1, 2**31, 2**32 - 1])
 def test_bulk_draws_are_randrange_draws(n):
-    # large_clique relies on this replay of CPython's sampler
+    # large_clique relies on this replay of CPython's sampler, from a fresh
+    # stream and from one a shuffle has left part way through a key block
     m = 2 * analysis._DRAW_BLOCK + 17
     for seed in (0, 1, 0x5EA90000):
-        rnd = random.Random(seed)
-        want = [rnd.randrange(n) for _ in range(m)]
-        rnd = random.Random(seed)
-        got = [int(v) for vals in analysis._bulk_randrange(rnd, n, m) for v in vals]
-        assert got == want
+        for used in (0, min(n, 1000)):
+            rnd = random.Random(seed)
+            rnd.shuffle(list(range(used)))
+            want = [rnd.randrange(n) for _ in range(m)]
+            rnd = random.Random(seed)
+            rnd.shuffle(list(range(used)))
+            got = [int(v) for vals in analysis._bulk_randrange(rnd, n, m) for v in vals]
+            assert got == want
+
+
+def test_large_clique_keeps_no_neighbour_lists():
+    # two 1000-cliques: every vertex misses the 1000 of the other side, so
+    # per-vertex intp neighbour arrays alone took 16 MB (a 23 MB peak)
+    g = two_clique_complement(1000, 1000)
+    tracemalloc.start()
+    try:
+        z = analysis.large_clique(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert z.bit_count() == 1000 and analysis.is_clique(g, z)
+    assert peak < 12e6
 
 
 def test_large_clique_of_empty_graph():

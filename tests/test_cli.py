@@ -4,10 +4,11 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
-from minorforge import analysis, cli, errors, pipeline
+from minorforge import analysis, cli, errors, montecarlo, pipeline
 from minorforge.cli import main
 from minorforge.generators import triangle_free_process_complement
 from minorforge.graph import (
@@ -222,6 +223,39 @@ def test_mc_chebyshev(capsys):
 def test_mc_unknown_suite(capsys):
     code, _, err = run_cli(capsys, "mc", "--suite", "mystery")
     assert code == 2 and "unknown suite" in err
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        ("--suite", "pairing-marginals", "--trials", str(10**12)),
+        ("--suite", "pairing-joint", "--trials", str(10**12)),
+        ("--suite", "chebyshev", "--trials", str(10**12)),
+        ("--suite", "pairing-marginals", "--trials", "1", "--x", str(10**12)),
+    ],
+    ids=" ".join,
+)
+def test_mc_refuses_arrays_above_the_cell_limit(capsys, options):
+    # refused before anything is allocated: these arrays would take terabytes
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "mc", *options)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"exceeds the limit {montecarlo.MAX_CELLS}" in err
+    assert peak < 1e6
+
+
+def test_mc_cell_limit_is_inclusive(capsys, monkeypatch):
+    # at the limit a suite runs (its records may fail at so few trials: exit 3)
+    monkeypatch.setattr(montecarlo, "MAX_CELLS", 500)
+    assert run_cli(capsys, "mc", "--suite", "pairing-marginals", "--trials", "50")[0] != 2
+    assert run_cli(capsys, "mc", "--suite", "pairing-marginals", "--trials", "51")[0] == 2
+    assert run_cli(capsys, "mc", "--suite", "chebyshev", "--trials", "10")[0] != 2
+    assert run_cli(capsys, "mc", "--suite", "chebyshev", "--trials", "11")[0] == 2
 
 
 def test_mc_determinism(capsys):

@@ -1,5 +1,5 @@
 """Every demo script runs to completion: they read public fields of the
-library (prep.bound.lam, prep.bound.q, res.m_star, ...) that a refactor could drop."""
+library (prep.lam, prep.bound.q, res.m_star, ...) that a refactor could drop."""
 
 import subprocess
 import sys

@@ -159,7 +159,7 @@ def test_preconditions_strict_instance(prepared110):
     assert prep.report.strict_ok
     assert prep.clique_method == "exact"
     assert prep.n == 55 and prep.x >= 2 * prep.n - prep.k - 1
-    assert prep.bound.q == pytest.approx(1 - 2 * prep.n / prep.bound.lam**2)
+    assert prep.bound.q == pytest.approx(1 - 2 * prep.n / prep.lam**2)
 
 
 def test_resolve_lambda_policies():
