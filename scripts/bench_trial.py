@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the trial stages on fixed instances; write BENCH_trial.json.
 
-    PYTHONPATH=src python3 scripts/bench_trial.py
+    PYTHONPATH=src python3 scripts/bench_trial.py [--out BENCH_trial.json]
 
 The instances are the TFP graphs (complements of the triangle-free process)
 of seeds 707 and 708 at n = 400, 800 and 1600, built as
@@ -25,6 +25,7 @@ PYTHONPATH at the other checkout's src/ to time it with the same script.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import sys
@@ -45,7 +46,6 @@ SIZES = (400, 800, 1600)
 SEEDS = (707, 708)
 TRIALS = {400: 30, 800: 15, 1600: 9}
 CONFIG = PipelineConfig(lambda_policy="clamped", seed=1)
-OUT = "BENCH_trial.json"
 STAGES = ("sample", "induced_subgraph", "seagull_partition", "contract", "minor_violation")
 
 
@@ -93,6 +93,9 @@ def bench_instance(n: int, seed: int, digest) -> dict:
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", default="BENCH_trial.json")
+    args = parser.parse_args()
     digest = hashlib.sha256()
     rows = []
     print(f"{'n':>5} {'seed':>5} {'k':>4} {'run ms':>8} "
@@ -104,10 +107,10 @@ def main() -> None:
             cells = " ".join(f"{row[s + '_ms']:>20.3f}" for s in STAGES + ("rest",))
             print(f"{n:>5} {seed:>5} {row['k']:>4} {row['run_ms']:>8.3f} {cells}", flush=True)
     out = {"results_sha256": digest.hexdigest(), "instances": rows}
-    with open(OUT, "w") as f:
+    with open(args.out, "w") as f:
         json.dump(out, f, indent=1)
         f.write("\n")
-    print(f"results_sha256 {out['results_sha256']}; wrote {OUT}")
+    print(f"results_sha256 {out['results_sha256']}; wrote {args.out}")
 
 
 if __name__ == "__main__":

@@ -227,8 +227,8 @@ def large_clique(g: Graph) -> int:
     Each restart makes LOCAL_SEARCH_ITERS uniform vertex draws.  The set is
     kept maximal, so only a draw outside it with exactly one complement
     neighbour in it can change it, by a swap.  Tightness counters (Andrade,
-    Resende & Werneck, J. Heuristics 2012) find those draws, so the cost
-    follows the number of moves rather than the number of draws.
+    Resende & Werneck, J. Heuristics 2012) find those draws, so the Python
+    work follows the number of moves; drawing and scanning follow the draws.
     """
     n = g.n
     if n == 0:

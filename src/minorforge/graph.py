@@ -15,6 +15,7 @@ on first use, and contract and minor_violation share that listing.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -74,9 +75,9 @@ def _packed_masks(rows: np.ndarray) -> list[int]:
 def _part_listing(parts) -> list[tuple[int, list[int], np.ndarray]]:
     """(size, part indices, their vertices part after part) for each part
     size, in order of first appearance; parts are nonempty."""
-    by_size: dict[int, tuple[list[int], list[int]]] = {}
+    by_size: dict[int, tuple[list[int], list[int]]] = defaultdict(lambda: ([], []))
     for i, p in enumerate(parts):
-        which, verts = by_size.setdefault(p.bit_count(), ([], []))
+        which, verts = by_size[p.bit_count()]  # a new pair of lists per size only
         which.append(i)
         while p:  # bits(p) inlined: a generator per part cost more than this loop
             low = p & -p
@@ -144,7 +145,7 @@ class Graph:
         g.rows.flags.writeable = False
         g.n = len(adj)
         g.adj = tuple(_packed_masks(g.rows))
-        g._m = sum(a.bit_count() for a in g.adj) // 2
+        g._m = int(np.count_nonzero(adj)) // 2
         return g
 
     def __reduce__(self):
@@ -209,9 +210,10 @@ def induced_subgraph(g: Graph, subset: int) -> tuple[Graph, tuple[int, ...]]:
     """
     if subset & ~g.vertex_mask:
         raise ValueError("subset not within the vertex range")
-    old = tuple(bits(subset))
-    idx = np.array(old, dtype=np.intp)
-    return Graph.from_adj(unpack_rows(g.rows[idx], g.n)[:, idx]), old
+    idx = np.flatnonzero(unpack_rows(_packed([subset], g.n), g.n)[0])
+    # take gathers the columns in C order, which packbits packs about ten
+    # times faster than the Fortran-ordered result of [:, idx]
+    return Graph.from_adj(unpack_rows(g.rows[idx], g.n).take(idx, axis=1)), tuple(idx.tolist())
 
 
 def complement_edge_count(g: Graph, subset: int) -> int:

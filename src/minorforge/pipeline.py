@@ -184,6 +184,9 @@ class PreparedPipeline:
         self.k = self.stats.k
         self.n = g.n // 2
         self.g_prime, self.idx_map, self.deleted_vertex = strip_clique(g, self.clique)
+        # every trial's clique singletons, as parts and as accounting columns
+        zs = list(bits(self.clique))
+        self._clique_parts, self._clique_cols = [1 << z for z in zs], np.array(zs, dtype=np.intp)
         self.x = self.g_prime.n
         self.lam = resolve_lambda(cfg.lambda_policy, self.n, self.k)
         self.bound = compute_bound_report(self.n, self.k, self.stats.a, self.stats.b, self.lam)
@@ -246,8 +249,7 @@ class PreparedPipeline:
             )
         triples = tuple(sorted((s_map[a], s_map[mid], s_map[b]) for a, mid, b in part.triples))
 
-        parts = [1 << zv for zv in bits(self.clique)]
-        parts += [(1 << u) | (1 << v) for u, v in m_star]
+        parts = self._clique_parts + [(1 << u) | (1 << v) for u, v in m_star]
         parts += [mask_of(t) for t in triples]
         decomposition = BranchDecomposition(host=g, parts=tuple(parts))
         h = contract(g, decomposition)
@@ -263,7 +265,7 @@ class PreparedPipeline:
         # near[p, c]: pair p has a host edge to vertex c, for c the clique's
         # vertices, then every pair's low end, then every pair's high end
         lows, highs = np.array(list(zip(*m_star)), dtype=np.intp).reshape(2, -1)
-        cols = np.concatenate((np.array(list(bits(self.clique)), dtype=np.intp), lows, highs))
+        cols = np.concatenate((self._clique_cols, lows, highs))
         near = unpack_rows(g.rows[lows] | g.rows[highs], g.n)[:, cols]
         pairs = len(lows)
         bad_triples = pairs * k - int(np.count_nonzero(near[:, :k]))

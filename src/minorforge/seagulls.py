@@ -66,20 +66,19 @@ def _seagulls_at(g: Graph, u: int, rest: int):
             yield a, u, a + 1 + boff
 
 
-def _clique_bound(d: np.ndarray, size: int, non_edges: int) -> int:
-    """Upper bound on the clique number of a seagull-search node's unused set.
-
-    The set has `size` vertices and `non_edges` non-adjacent pairs; d holds
-    each unused vertex's count of unused non-neighbours and, for each used
-    vertex, a value of at least `size`.  A clique misses an end of every
-    non-edge, so it leaves out at least the fewest unused vertices whose d
-    values sum to non_edges: the bound is `size` less that count.
-    """
-    if not non_edges:
-        return size
-    # unused values sort below used ones: the first `size`, largest first
-    largest = np.sort(d)[size - 1 :: -1].cumsum()
-    return size - 1 - int(largest.searchsorted(non_edges))
+def _clique_room(d: np.ndarray, k_res: int, non_edges: int) -> bool:
+    """Whether a search node's 3 * k_res unused vertices, with `non_edges`
+    non-adjacent pairs and counts d (each unused vertex's unused
+    non-neighbours, then at least 3 * k_res per used one, so unused values
+    sort first), may hold a clique of more than 2 * k_res.  A clique misses
+    an end of every non-edge; one that large leaves out at most k_res - 1
+    vertices, so their d values, at most the k_res - 1 largest, must reach
+    non_edges."""
+    # sorted in place and summed as a list: at a few hundred entries the call
+    # overheads of np.sort and ndarray.sum cost more than the work
+    top = d.copy()
+    top.sort()
+    return sum(top[2 * k_res + 1 : 3 * k_res].tolist()) >= non_edges
 
 
 def seagull_partition(g: Graph) -> SeagullPartition | None:
@@ -88,16 +87,16 @@ def seagull_partition(g: Graph) -> SeagullPartition | None:
     Exhaustive backtracking with sound pruning only: too few non-adjacent
     pairs left, or a clique certified to exceed twice the remaining triple
     count (each triple meets a clique in at most two vertices).  The clique
-    is searched greedily, and only where a bound from the non-neighbour
-    counts leaves room for one that large, so the search is skipped only
-    where it cannot prune.  Branches on the unused vertex with the fewest
-    non-neighbours left (scarcest endpoint partners; ties to the lowest
-    index) and memoizes failed states, which keeps generic instances
-    near-greedy.  Both counts are kept up to date as seagulls are placed
-    and taken back rather than recounted at each node, so the branch vertex,
-    its tie-break and the nodes visited are those of a recount.  Raises
-    WrongOrder unless 3 divides |V|, and BudgetExhausted instead of guessing
-    when the budget runs out.
+    is searched greedily, and only where the non-neighbour counts leave room
+    for one that large, so the search is skipped only where it cannot
+    prune.  Branches on the unused vertex with the fewest non-neighbours
+    left (scarcest endpoint partners; ties to the lowest index) and
+    memoizes failed states, which keeps generic instances near-greedy.  Both
+    counts are kept up to date as seagulls are placed and taken back rather
+    than recounted at each node, so the branch vertex, its tie-break and the
+    nodes visited are those of a recount.  Raises WrongOrder unless 3
+    divides |V|, and BudgetExhausted instead of guessing when the budget
+    runs out.
     """
     if g.n % 3 != 0:
         raise WrongOrder(f"|V| = {g.n} is not divisible by 3")
@@ -124,11 +123,8 @@ def seagull_partition(g: Graph) -> SeagullPartition | None:
             return True
         if unused in failed:
             return False
-        # greedy_clique_lb(g, unused) is at most the clique bound, so it can
-        # only prune where the bound exceeds 2 * k_res
         if non_edges < k_res or (
-            _clique_bound(d, 3 * k_res, non_edges) > 2 * k_res
-            and greedy_clique_lb(g, unused) > 2 * k_res
+            _clique_room(d, k_res, non_edges) and greedy_clique_lb(g, unused) > 2 * k_res
         ):
             if len(failed) < SEAGULL_MEMO_CAP:
                 failed.add(unused)
@@ -171,7 +167,6 @@ def max_disjoint_seagulls_bruteforce(g: Graph) -> int:
         raise TooLarge(f"|V| = {g.n} exceeds the exhaustive guard {BRUTEFORCE_LIMIT}")
     n = g.n
     per_vertex: list[list[int]] = [[] for _ in range(n)]
-    verts = list(range(n))
     for i in range(n):
         for j in range(i + 1, n):
             for l in range(j + 1, n):

@@ -413,6 +413,24 @@ def oracle_seagull_partition(g: Graph) -> tuple[tuple[tuple[int, int, int], ...]
     return (tuple(out) if found else None), nodes
 
 
+def clique_bound(d: np.ndarray, size: int, non_edges: int) -> int:
+    """Upper bound on the clique number of a seagull-search node's unused set.
+
+    The set has `size` vertices and `non_edges` non-adjacent pairs; d holds
+    each unused vertex's count of unused non-neighbours and, for each used
+    vertex, a value of at least `size`.  A clique misses an end of every
+    non-edge, so it leaves out at least the fewest unused vertices whose d
+    values sum to non_edges: the bound is `size` less that count.  The
+    search prunes with greedy_clique_lb only where this bound exceeds twice
+    the triples still to place.
+    """
+    if not non_edges:
+        return size
+    # unused values sort below used ones: the first `size`, largest first
+    largest = np.sort(d)[size - 1 :: -1].cumsum()
+    return size - 1 - int(largest.searchsorted(non_edges))
+
+
 # --- reference generators and garbage count -------------------------------------
 
 

@@ -2,12 +2,17 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
 
-from conftest import brute_max_clique_size, oracle_seagull_partition, small_alpha2_graphs
+from conftest import (
+    brute_max_clique_size,
+    clique_bound,
+    oracle_seagull_partition,
+    small_alpha2_graphs,
+)
 from minorforge import analysis, seagulls
 from minorforge.analysis import clique_number, is_alpha_le_2
 from minorforge.errors import BudgetExhausted, TooLarge, WrongOrder
@@ -16,7 +21,7 @@ from minorforge.graph import Graph, bits, complement_edge_count, induced_subgrap
 from minorforge.pipeline import PipelineConfig, PreparedPipeline
 from minorforge.rng import trial_rng
 from minorforge.seagulls import (
-    _clique_bound,
+    _clique_room,
     is_seagull,
     max_disjoint_seagulls_bruteforce,
     seagull_partition,
@@ -168,9 +173,35 @@ def test_clique_bound_is_at_least_the_clique_number(data):
         ],
         dtype=np.int32,
     )
-    bound = _clique_bound(d, size, complement_edge_count(g, unused))
+    bound = clique_bound(d, size, complement_edge_count(g, unused))
     assert bound >= brute_max_clique_size(induced_subgraph(g, unused)[0])
     assert bound <= size
+
+
+@st.composite
+def search_counts(draw):
+    """(d, k_res, non_edges) of the shape the search keeps: 3 * k_res unused
+    values below 3 * k_res, used values of at least 3 * k_res, in any order,
+    and any non-edge count."""
+    k_res = draw(st.integers(1, 8))
+    size = 3 * k_res
+    unused = draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size))
+    used = draw(st.lists(st.integers(size, size + 20), max_size=12))
+    d = np.array(draw(st.permutations(unused + used)), dtype=np.int32)
+    return d, k_res, draw(st.integers(0, sum(unused) + 2) | st.just(0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(counts=search_counts())
+@example(counts=(np.array([2, 2, 2], dtype=np.int32), 1, 0))
+@example(counts=(np.array([0, 2, 1, 5, 1], dtype=np.int32), 1, 1))
+@example(counts=(np.array([9, 4, 4, 0, 3, 3, 6, 2], dtype=np.int32), 2, 0))
+@example(counts=(np.array([9, 4, 4, 0, 3, 3, 6, 2], dtype=np.int32), 2, 4))
+@example(counts=(np.array([9, 4, 4, 0, 3, 3, 6, 2], dtype=np.int32), 2, 5))
+def test_clique_room_is_the_clique_bound_exceeding_twice_the_triples(counts):
+    # the search's prune decision against the reference bound
+    d, k_res, non_edges = counts
+    assert _clique_room(d, k_res, non_edges) == (clique_bound(d, 3 * k_res, non_edges) > 2 * k_res)
 
 
 # --- reference search --------------------------------------------------------------
@@ -213,6 +244,9 @@ def test_seagull_partition_matches_reference_search(monkeypatch):
                   | {(u, v) for u in range(12) for v in range(u + 1, 12) if rnd.random() < 0.5})
         )
     graphs += _leftover_graphs(400, 0, 4)
+    # TFP(800) leftovers: the clique prune is tried in trials 0, 1 and 4
+    # and fires twice in trial 1, on pipeline input rather than a plant
+    graphs += _leftover_graphs(800, 0, 5)
     # greedy_clique_lb: the reference calls it at every node it does not
     # prune by non-edge count, the search only where the bound leaves room;
     # it fires when it finds more than 2 * k_res = 2/3 |alive| vertices
