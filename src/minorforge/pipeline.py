@@ -186,7 +186,8 @@ class PreparedPipeline:
         self.g_prime, self.idx_map, self.deleted_vertex = strip_clique(g, self.clique)
         # every trial's clique singletons, as parts and as accounting columns
         zs = list(bits(self.clique))
-        self._clique_parts, self._clique_cols = [1 << z for z in zs], np.array(zs, dtype=np.intp)
+        self._clique_parts = [1 << z for z in zs]
+        self._clique_cols = np.array(zs, dtype=np.intp)
         self.x = self.g_prime.n
         self.lam = resolve_lambda(cfg.lambda_policy, self.n, self.k)
         self.bound = compute_bound_report(self.n, self.k, self.stats.a, self.stats.b, self.lam)
