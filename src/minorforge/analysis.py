@@ -197,9 +197,9 @@ _DRAW_BLOCK = 4096
 _SCAN_WINDOW = 256
 
 
-def _bulk_randrange(rnd: random.Random, n: int, count: int):
+def _bulk_randrange(mt: np.random.MT19937, rnd: random.Random, n: int, count: int):
     """Yield intp arrays that together are [rnd.randrange(n) for _ in
-    range(count)], for 1 <= n < 2**32.
+    range(count)], for 1 <= n < 2**32, re-keying mt to draw them.
 
     CPython's randrange(n) takes the top n.bit_length() bits of one 32-bit
     Mersenne Twister output and draws again while the value is >= n.  numpy's
@@ -207,9 +207,8 @@ def _bulk_randrange(rnd: random.Random, n: int, count: int):
     rnd itself is not advanced.
     """
     shift = 32 - n.bit_length()
-    *key, pos = rnd.getstate()[1]
-    mt = np.random.MT19937(0)
-    mt.state = {"bit_generator": "MT19937", "state": {"key": np.array(key, np.uint32), "pos": pos}}
+    *key, pos = rnd.getstate()[1]  # a list: the setter reads an array 25x slower
+    mt.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": pos}}
     while count > 0:
         vals = mt.random_raw(_DRAW_BLOCK) >> shift
         vals = vals[vals < n][:count].astype(np.intp)
@@ -224,11 +223,13 @@ def large_clique(g: Graph) -> int:
     clique mask found; no maximality certificate.  Fixed seeds make the
     result a pure function of the graph.
 
-    Each restart makes LOCAL_SEARCH_ITERS uniform vertex draws.  The set is
-    kept maximal, so only a draw outside it with exactly one complement
-    neighbour in it can change it, by a swap.  Tightness counters (Andrade,
-    Resende & Werneck, J. Heuristics 2012) find those draws, so the Python
-    work follows the number of moves; drawing and scanning follow the draws.
+    Each restart makes LOCAL_SEARCH_ITERS uniform vertex draws, all from
+    one MT19937 re-keyed per restart.  The set is kept maximal, so only a
+    draw outside it with exactly one complement neighbour in it can change
+    it, by a swap.  Tightness counters (Andrade, Resende & Werneck,
+    J. Heuristics 2012) find those draws as the first minimum of each scan
+    window, so the Python work follows the number of moves; drawing and
+    scanning follow the draws.
     """
     n = g.n
     if n == 0:
@@ -238,9 +239,9 @@ def large_clique(g: Graph) -> int:
     # below; no state entry exceeds max(D, 3), D the complement's max degree
     inc = unpack_rows(complement_rows(g), n).view(np.int8)
     np.fill_diagonal(inc, 2)
+    rows = list(inc)
     dtype = np.min_scalar_type(-4 - max(c.bit_count() for c in cadj))  # holds D + 3
-    two = dtype.type(2)
-    low = np.empty(_SCAN_WINDOW, dtype=bool)  # a window's draws with state <= 1
+    mt = np.random.MT19937(0)  # re-keyed to each restart's stream
     best_mask = 1
     best_size = 1
     for seed in range(LOCAL_SEARCH_RESTARTS):
@@ -256,27 +257,25 @@ def large_clique(g: Graph) -> int:
         if cur.bit_count() > best_size:
             best_size, best_mask = cur.bit_count(), cur
         # state[x] = 2 * (x in the set) + the number of x's complement
-        # neighbours in it; a set vertex has none, so state[x] <= 1 exactly
-        # when a draw of x can change the set.  The set is maximal, so no
-        # entry is 0 between moves
+        # neighbours in it; a set vertex has none, and the set is maximal, so
+        # between moves no entry is 0 and a draw of x can change the set
+        # exactly when state[x] == 1: a window's first minimum is its first
+        # such draw whenever that minimum is 1
         state = inc[list(bits(cur))].sum(axis=0, dtype=dtype)
-        for draws in _bulk_randrange(rnd, n, LOCAL_SEARCH_ITERS):
+        for draws in _bulk_randrange(mt, rnd, n, LOCAL_SEARCH_ITERS):
             p = 0
             while p < len(draws):
                 window = state[draws[p : p + _SCAN_WINDOW]]
-                hits = low if len(window) == _SCAN_WINDOW else low[: len(window)]
-                np.less(window, two, out=hits)
-                i = int(hits.argmax())
-                if not hits[i]:
+                i = int(window.argmin())
+                if window.item(i) != 1:
                     p += _SCAN_WINDOW
                     continue
-                i += p
-                v = int(draws[i])
-                p = i + 1
+                v = draws.item(p + i)
+                p += i + 1
                 u = (cadj[v] & cur).bit_length() - 1  # v's one neighbour in the set
                 cur ^= (1 << u) | (1 << v)
-                np.add(state, inc[v], out=state)
-                np.subtract(state, inc[u], out=state)
+                np.add(state, rows[v], state)
+                np.subtract(state, rows[u], state)
                 # the zeros now are the complement neighbours of u that the
                 # swap freed; the loop only adds, so a vertex blocked now
                 # stays blocked
@@ -284,7 +283,7 @@ def large_clique(g: Graph) -> int:
                     for x in np.flatnonzero(state == 0).tolist():
                         if not (cadj[x] & cur):
                             cur |= 1 << x
-                            np.add(state, inc[x], out=state)
+                            np.add(state, rows[x], state)
                     if cur.bit_count() > best_size:
                         best_size, best_mask = cur.bit_count(), cur
     return best_mask

@@ -59,6 +59,13 @@ def _read_input(path: str):
     return from_text(data.decode()), hashlib.sha256(data).hexdigest()
 
 
+def _int_list(text: str, option: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{option} takes comma-separated integers, got {text!r}") from None
+
+
 def _parse_lambda(text: str):
     if text in ("n23", "clamped"):
         return text
@@ -75,7 +82,7 @@ def _cmd_gen(args) -> int:
     family = "named" if args.named else args.family
     if family is None:
         raise ValueError("gen needs --family or --named")
-    sizes = tuple(int(x) for x in args.sizes.split(",")) if args.sizes else None
+    sizes = _int_list(args.sizes, "--sizes") if args.sizes else None
     g = generators.generate(
         family, n=args.n, t=args.t, sizes=sizes, name=args.named, order=args.order, seed=args.seed
     )
@@ -198,7 +205,7 @@ def _cmd_mc(args) -> int:
         x=args.x,
         trials=args.trials,
         seed=args.seed,
-        sizes=[int(s) for s in args.sizes.split(",")],
+        sizes=_int_list(args.sizes, "--sizes"),
         instances=args.instances,
         sweep_limit=args.sweep_limit,
         jobs=args.jobs,
@@ -211,17 +218,8 @@ def _cmd_mc(args) -> int:
 def _cmd_gamma(args) -> int:
     z_star, gamma = bounds.gamma_optimize(args.tolerance)
     if args.format == "records":
-        _emit(
-            [
-                {
-                    "record": "gamma",
-                    "z_star": round(z_star, 6),
-                    "gamma": round(gamma, 6),
-                    "tolerance": args.tolerance,
-                }
-            ],
-            "records",
-        )
+        _emit([{"record": "gamma", "z_star": round(z_star, 6), "gamma": round(gamma, 6),
+                "tolerance": args.tolerance}], "records")
     else:
         sys.stdout.write(f"z_star {z_star:.6f}\ngamma {gamma:.6f}\n")
     return EXIT_OK
@@ -292,6 +290,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in ("seed", "trial"):  # both name random streams
+            if (value := getattr(args, name, 0)) < 0:
+                raise ValueError(f"--{name} must be a non-negative integer, got {value}")
         return _COMMANDS[args.command](args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -189,6 +189,8 @@ def expectation_bound(
         raise ValueError(f"sweep limit must be at least 0, got {sweep_limit}")
     if any(s < 6 or s % 2 for s in sizes):
         raise ValueError(f"sizes must be even and at least 6 to be strict-eligible, got {sizes}")
+    for size in sizes:
+        generators.check_tfp_order(size)
     eligible = _eligible_instances(sizes, instances, seed, sweep_limit)
     run = partial(_instance_record, trials=trials // instances)
     if jobs > 1:

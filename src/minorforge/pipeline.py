@@ -23,23 +23,9 @@ import numpy as np
 
 from .analysis import clique_stats, find_independent_triple, working_clique
 from .bounds import compute_bound_report
-from .errors import (
-    AlphaTooLarge,
-    Ineligible,
-    MinorforgeError,
-    NotCertifiable,
-    SeagullFailure,
-)
-from .graph import (
-    BranchDecomposition,
-    Graph,
-    bits,
-    contract,
-    induced_subgraph,
-    mask_of,
-    minor_violation,
-    unpack_rows,
-)
+from .errors import AlphaTooLarge, Ineligible, MinorforgeError, NotCertifiable, SeagullFailure
+from .graph import BranchDecomposition, Graph, bits, contract, induced_subgraph, mask_of
+from .graph import minor_violation, unpack_rows
 # in_concentration_event and sample_uniform_pairing are unused here, but
 # perfbench traces the sampler by looking both up in this module
 from .pairings import (

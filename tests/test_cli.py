@@ -347,6 +347,13 @@ def run_module(*argv):
         (("build-minor", "GRAPH", "--lambda", "1e400"), "lambda"),
         (("build-minor", "GRAPH", "--lambda", "1e-320"), "lambda"),
         (("build-minor", "GRAPH", "--lambda", "1e-400"), "lambda"),
+        # refused before the input is read: a missing file would be named instead
+        (("build-minor", "no-such-graph.txt", "--trial", "-1"), "--trial"),
+        (("build-minor", "no-such-graph.txt", "--seed", "-1"), "--seed"),
+        (("gen", "--family", "tfp", "--n", "10", "--seed", "-1"), "--seed"),
+        (("mc", "--suite", "expectation-bound", "--seed", "-1"), "--seed"),
+        (("mc", "--suite", "expectation-bound", "--sizes", "400,"), "--sizes"),
+        (("gen", "--family", "two_clique", "--sizes", "3,x"), "--sizes"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, tuple) else v,
 )
@@ -387,6 +394,32 @@ def test_gen_refuses_an_order_above_the_reader_limit(capsys, options):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "exceeds the limit 32768" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "--family", "tfp", "--n", "8193"),
+        # the 400 instance is not built or run first
+        ("mc", "--suite", "expectation-bound", "--sizes", "400,8194"),
+    ],
+    ids=" ".join,
+)
+def test_tfp_orders_above_the_build_limit_are_refused(capsys, argv):
+    # one past the tfp limit, which builds in about 20 s: the refusal comes
+    # before the pair order (134 MB there) or anything else is allocated
+    tracemalloc.start()
+    try:
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, *argv)
+        elapsed = time.monotonic() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1 and peak < 1e6
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "exceeds the limit 8192" in err
 
 
 def test_analyze_directory_exits_2(tmp_path):
