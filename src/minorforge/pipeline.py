@@ -1,22 +1,23 @@
 """End-to-end minor construction for alpha<=2 graphs of even order.
 
-Given G with clique number below |V|/4: fix a clique Z, delete it (plus at
-most one vertex for parity), draw a uniform pairing of the rest conditioned
-on the concentration event, keep n-2k of its edges as a matching, partition
-the 3k leftover vertices into seagulls, and contract.  Every missing edge
-of the contracted graph is accounted for exactly: it is either a clique
-vertex against a matching pair with no edge between them (a realized bad
-triple) or two matching pairs spanning no edge (a realized bad quadruple).
-The trial counts these from the host and the parts alone and requires the
-minor to miss exactly that many edges: minor_violation runs first, so every
-minor edge is joined in the host, and equal counts leave no other miss.
+Given G with clique number below |V|/4, a trial samples, partitions and
+assembles: delete a clique Z (plus at most one vertex for parity), keep n-2k
+edges of a uniform pairing of the rest conditioned on the concentration
+event, split the 3k leftover vertices into seagulls, and contract the parts,
+held by kind as (parts x size) vertex arrays: clique singletons, pairs,
+seagulls.  A missing minor edge is a clique vertex against a pair with no
+edge between them (a realized bad triple) or two pairs spanning no edge (a
+realized bad quadruple); the trial counts both from the host's rows and the
+parts, and the minor must miss exactly that many edges.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import reduce
+from itertools import chain
 from math import comb
 
 import numpy as np
@@ -83,17 +84,10 @@ class PreconditionReport:
     lambda_sq_gt_2n: bool
     complement_degree_le_k: bool
 
-    FLAGS = (
-        "clique_below_quarter",
-        "lambda_le_half_k_minus_1",
-        "lambda_sq_gt_2n",
-        "complement_degree_le_k",
-    )
-
     @property
     def failed_flags(self) -> tuple[str, ...]:
-        """Names of the hypothesis flags that fail, in FLAGS order."""
-        return tuple(name for name in self.FLAGS if not getattr(self, name))
+        """Names of the hypothesis flags that fail, in declaration order."""
+        return tuple(f.name for f in fields(self) if not getattr(self, f.name))
 
     @property
     def strict_ok(self) -> bool:
@@ -170,10 +164,8 @@ class PreparedPipeline:
         self.k = self.stats.k
         self.n = g.n // 2
         self.g_prime, self.idx_map, self.deleted_vertex = strip_clique(g, self.clique)
-        # every trial's clique singletons, as parts and as accounting columns
-        zs = list(bits(self.clique))
-        self._clique_parts = [1 << z for z in zs]
-        self._clique_cols = np.array(zs, dtype=np.intp)
+        # every trial's clique parts: k x 1, one singleton per clique vertex
+        self._clique_parts = np.fromiter(bits(self.clique), dtype=np.intp).reshape(-1, 1)
         self.x = self.g_prime.n
         self.lam = resolve_lambda(cfg.lambda_policy, self.n, self.k)
         self.bound = compute_bound_report(self.n, self.k, self.stats.a, self.stats.b, self.lam)
@@ -211,18 +203,17 @@ class PreparedPipeline:
         return tuple((self.idx_map[u], self.idx_map[v]) for u, v in local)
 
     def run(self, trial: int = 0) -> PipelineResult:
-        g = self.g
+        g, n, k = self.g, self.n, self.k
         if not self.report.clique_below_quarter:
             raise Ineligible(
-                f"clique number {self.k} >= |V|/4 = {g.n / 4}: a complete "
+                f"clique number {k} >= |V|/4 = {g.n / 4}: a complete "
                 "minor on |V|/2 vertices exists by the packing characterisation; "
                 "constructing it is out of scope here"
             )
-        n, k = self.n, self.k
         m_star = self._sample_matching(trial)
+        pairs = np.fromiter(chain.from_iterable(m_star), np.intp).reshape(-1, 2)
 
-        covered = mask_of(v for edge in m_star for v in edge)
-        s_mask = g.vertex_mask & ~self.clique & ~covered
+        s_mask = g.vertex_mask & ~self.clique & ~mask_of(pairs.ravel().tolist())
         if s_mask.bit_count() != 3 * k:
             raise MinorforgeError(
                 f"leftover set has {s_mask.bit_count()} vertices, expected {3 * k}"
@@ -236,8 +227,14 @@ class PreparedPipeline:
             )
         triples = tuple(sorted((s_map[a], s_map[mid], s_map[b]) for a, mid, b in part.triples))
 
-        parts = self._clique_parts + [(1 << u) | (1 << v) for u, v in m_star]
-        parts += [mask_of(t) for t in triples]
+        # the parts by kind, one (parts x size) vertex array each, in part order
+        seagulls = np.fromiter(chain.from_iterable(triples), np.intp).reshape(-1, 3)
+        parts = []
+        for kind in (self._clique_parts, pairs, seagulls):
+            masks = [0] * len(kind)
+            for col in kind.T.tolist():  # a part's mask ORs its row's bits, column by column
+                masks = [m | 1 << v for m, v in zip(masks, col)]
+            parts += masks
         decomposition = BranchDecomposition(host=g, parts=tuple(parts))
         h = contract(g, decomposition)
         violation = minor_violation(g, h, decomposition)
@@ -246,19 +243,13 @@ class PreparedPipeline:
         if h.n != n:
             raise MinorforgeError(f"minor has {h.n} vertices, expected {n}")
 
-        # bad triples (clique vertex, pair) and bad quadruples (pair, pair)
-        # with no host edge between them; minor_violation has shown that
-        # every edge of h is host-joined, so equal counts are exact.
-        # near[p, c]: pair p has a host edge to vertex c, for c the clique's
-        # vertices, then every pair's low end, then every pair's high end
-        lows, highs = np.array(list(zip(*m_star)), dtype=np.intp).reshape(2, -1)
-        cols = np.concatenate((self._clique_cols, lows, highs))
-        near = unpack_rows(g.rows[lows] | g.rows[highs], g.n)[:, cols]
-        pairs = len(lows)
-        bad_triples = pairs * k - int(np.count_nonzero(near[:, :k]))
-        # pairs against pairs: symmetric, diagonal set (each pair is an edge)
-        joined = near[:, k : k + pairs] | near[:, k + pairs :]
-        bad_quads = (joined.size - int(np.count_nonzero(joined))) // 2
+        # A seagull's ends are not adjacent, so by alpha <= 2 each other vertex
+        # is adjacent to one of them; clique vertices are adjacent.  So only a
+        # pair against a clique vertex (bad triple) or another pair (bad
+        # quadruple) can be non-joined, and with every edge of h host-joined
+        # (minor_violation) equal counts are exact.  A pair is joined to itself.
+        bad_triples, pair_pairs = _unjoined(g, pairs, self._clique_parts, pairs)
+        bad_quads = pair_pairs // 2
         missing = comb(n, 2) - h.edge_count
         if missing != bad_triples + bad_quads:
             raise MinorforgeError(
@@ -276,6 +267,15 @@ class PreparedPipeline:
             realized_bad_quadruples=bad_quads,
             trial=trial,
         )
+
+
+def _unjoined(g: Graph, rows: np.ndarray, *cols: np.ndarray) -> list[int]:
+    """Per column kind, how many (row part, column part) pairs share no host
+    edge, each part a row of vertices; a part is joined to itself when it
+    spans an edge."""
+    near = unpack_rows(reduce(np.bitwise_or, [g.rows[v] for v in rows.T]), g.n)
+    joined = (reduce(np.bitwise_or, [near[:, v] for v in c.T]) for c in cols)
+    return [j.size - int(np.count_nonzero(j)) for j in joined]
 
 
 def run_pipeline(g: Graph, cfg: PipelineConfig, trial: int = 0) -> PipelineResult:

@@ -1,7 +1,11 @@
 import math
+import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +14,10 @@ from conftest import (
     cyclic_garbage,
     enumerate_bad_quadruples,
     enumerate_bad_triples,
+    members,
     oracle_contract,
     oracle_induced,
+    oracle_joined,
     small_alpha2_graphs,
 )
 from minorforge import pipeline
@@ -28,7 +34,7 @@ from minorforge.generators import (
     named_graph,
     triangle_free_process_complement,
 )
-from minorforge.graph import Graph, bits, mask_of, verify_minor
+from minorforge.graph import Graph, bits, induced_subgraph, mask_of, verify_minor
 from minorforge.pipeline import (
     PipelineConfig,
     PreparedPipeline,
@@ -38,6 +44,12 @@ from minorforge.pipeline import (
     strip_clique,
 )
 from minorforge.rng import trial_rng
+from minorforge.seagulls import SeagullPartition, seagull_partition
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from spans import Tracer  # noqa: E402
+from workloads import TRACE_SITES  # noqa: E402
 
 
 def k_n(n):
@@ -309,6 +321,91 @@ def test_accounting_catches_a_dropped_minor_edge(monkeypatch, prepared240, kind)
     monkeypatch.setattr(pipeline, "contract", dropping_contract)
     with pytest.raises(MinorforgeError):
         prepared240.run(0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_unjoined_counts_the_part_pairs_the_oracle_leaves_unjoined(data):
+    n = data.draw(st.integers(0, 12))
+    density = data.draw(st.sampled_from((0.0, 0.2, 0.5, 0.8, 1.0)))
+    rnd = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < density}
+    order = rnd.sample(range(n), n)
+    # disjoint parts of sizes 1, 2 and 3, one kind per size, and a kind with no parts
+    kinds, used = [], 0
+    for size in (1, 2, 3):
+        count = data.draw(st.integers(0, (n - used) // size))
+        kinds.append(np.array(order[used : used + size * count], dtype=np.intp).reshape(-1, size))
+        used += size * count
+    kinds.append(np.empty((0, 2), dtype=np.intp))
+    parts = [mask_of(row) for kind in kinds for row in kind.tolist()]
+    joined = oracle_contract(edges, parts)
+    starts = np.cumsum([0] + [len(kind) for kind in kinds]).tolist()
+    index = [range(starts[i], starts[i + 1]) for i in range(len(kinds))]
+    for r, rows in enumerate(kinds):
+        counts = pipeline._unjoined(Graph(n, edges), rows, *kinds)
+        for c in range(len(kinds)):
+            pairs = [(i, j) for i in index[r] for j in index[c] if i != j]
+            unjoined = sum((min(i, j), max(i, j)) not in joined for i, j in pairs)
+            if r == c:  # a part against itself is joined when it spans an edge
+                own = [members(parts[i]) for i in index[r]]
+                unjoined += sum(not oracle_joined(edges, p, p) for p in own)
+            assert counts[c] == unjoined
+
+
+def _triangle_among_seagulls(prep):
+    """A trial and a partition of its leftover set S, in S's local indices,
+    into one triangle with a common non-neighbour z in the clique and true
+    seagulls.  z's non-neighbours are a clique, since alpha <= 2."""
+    g = prep.g
+    for trial in range(20):
+        covered = mask_of(v for e in prep._sample_matching(trial) for v in e)
+        s_verts = list(bits(g.vertex_mask & ~prep.clique & ~covered))
+        g_s = induced_subgraph(g, mask_of(s_verts))[0]
+        for z in bits(prep.clique):
+            far = [i for i, v in enumerate(s_verts) if not g.has_edge(z, v)][:3]
+            if len(far) < 3:
+                continue
+            g_rest, rest_map = induced_subgraph(g_s, g_s.vertex_mask & ~mask_of(far))
+            others = seagull_partition(g_rest)
+            if others is not None:
+                return trial, (tuple(far),) + tuple(
+                    tuple(rest_map[v] for v in t) for t in others.triples
+                )
+    pytest.fail("no trial had a clique vertex with three non-neighbours in S")
+
+
+def test_a_seagull_part_that_is_not_a_seagull_is_refused(monkeypatch, prepared240):
+    # the triangle passes every witness check, but z's singleton part is not
+    # joined to it: a structural zero of the accounting fails, so the trial
+    # must refuse the minor
+    trial, planted = _triangle_among_seagulls(prepared240)
+    monkeypatch.setattr(pipeline, "seagull_partition", lambda g_s: SeagullPartition(planted))
+    with pytest.raises(MinorforgeError, match="accounting mismatch"):
+        prepared240.run(trial)
+
+
+# the trial's calls that perfbench traces as pipeline globals
+TRIAL_SITES = (
+    "sample_conditioned",
+    "subsample_matching",
+    "induced_subgraph",
+    "seagull_partition",
+    "contract",
+    "minor_violation",
+)
+
+
+def test_every_traced_trial_call_records_a_span(prepared110):
+    # a refactor that stops calling one of these through pipeline's namespace
+    # would silently zero its per-layer benchmark metric
+    sites = {s.attr: s for s in TRACE_SITES if s.owner is pipeline}
+    assert set(TRIAL_SITES) <= set(sites)
+    tracer = Tracer(TRACE_SITES)
+    with tracer.recording(0):
+        prepared110.run(0)
+    recorded = {sp.name for sp in tracer.spans}
+    assert [a for a in TRIAL_SITES if sites[a].name not in recorded] == []
 
 
 def _structural_checks(prep, res):
