@@ -126,7 +126,7 @@ def _cmd_analyze(args) -> int:
         "m": g.edge_count,
         "alpha_le_2": True,
         "k": k,
-        "clique": sorted(bits(clique)),
+        "clique": [v + 1 for v in bits(clique)],  # 1-based, as in the file
         "clique_method": method,
         "a": stats.a,
         "b": stats.b,

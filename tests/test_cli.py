@@ -83,6 +83,19 @@ def test_analyze_five_wheel(capsys, tmp_path):
     assert rec["clique_method"] == "exact"
 
 
+def test_analyze_lists_the_clique_in_the_file_numbering(capsys, tmp_path):
+    # two cliques of 3 and 4: file vertices 1-3 and 4-7
+    path = tmp_path / "two.txt"
+    run_cli(capsys, "gen", "--family", "two_clique", "--sizes", "3,4", "--out", str(path))
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--format", "records")
+    assert code == 0
+    (rec,) = records(out)
+    assert rec["clique"] == [4, 5, 6, 7]
+    lines = set(path.read_text().splitlines())
+    clique = rec["clique"]
+    assert all(f"e {u} {v}" in lines for i, u in enumerate(clique) for v in clique[i + 1 :])
+
+
 def test_analyze_alpha3_exits_3(capsys, tmp_path):
     path = tmp_path / "c6.txt"
     path.write_text("p 6 6\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 6\ne 1 6\n")

@@ -98,14 +98,15 @@ FILE_CASES = [
      0, "dbff5a8aaa22904d965f0d1ce7d48ccfc8ffadd8dbfb0450af55ddf17380c6fb"),
     # clique number >= |V|/4: refused before any record is written
     (("build-minor", "c5blowup.txt"), 3, EMPTY),
+    # analyze cases re-pinned when `clique` changed to the file's 1-based numbers
     (("analyze", "tfp110.txt"),
-     0, "23fc5ea9524e24a155e3082ab68afa812fb36173de242a7c29a3aafc8c9829ec"),
+     0, "d92e4862f7015b41cecff44e7ead5baaa9fa1bf6a3c18b0491affd78ae96a1b6"),
     (("analyze", "tfp200.txt"),
-     0, "0291d2ec406311a9025681f7185b5c4e6bfad4418fa86c42327fd9e6d2ab2ff6"),
+     0, "79d74633a89cc2bca2913cf1de3d6140bb695d3455718f42c9665d0280c3c841"),
     # the largest complete graph analyze accepts; pinned while min_capacity
     # was still found by enumerating all 2^19 - 1 cliques
     (("analyze", "k19.txt"),
-     0, "9604bcff80b4f254d020bb0960e059bd570d69c7ba5cd842e8ebfad476c6b5f0"),
+     0, "efee58863bd2179defd39a73cbc7c3547840c1a92528e1986b61ff2bfb1bb0fb"),
 ]
 
 
