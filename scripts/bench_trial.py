@@ -13,9 +13,9 @@ trial's own inputs: the sampler and subsample, `induced_subgraph` on the
 leftover set S, `seagull_partition`, and `contract` plus `minor_violation`
 on a decomposition built afresh from the trial's parts, so nothing either
 of them builds once per decomposition is shared between trials.  `rest_ms`
-is the trial's median less the stages' medians (the part lists and the
-missing-edge accounting).  Times are paced milliseconds, as perfbench
-reports them: a call's wall time times PROBE_NOMINAL_S over the mean of
+is the trial's median less the stages' medians (the part arrays, their
+masks and the missing-edge accounting).  Times are paced milliseconds, as
+perfbench reports them: a call's wall time times PROBE_NOMINAL_S over the mean of
 perfbench's probe read just before and just after it, so other load on the
 machine moves them less than wall time.  `results_sha256` hashes every
 trial's counts, parts and minor adjacency (perfbench's `result_bytes`), so

@@ -96,8 +96,8 @@ class PreconditionReport:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """One trial: the minor, its witness, and exact accounting.  The
-    instance's clique, bound and flags live on its PreparedPipeline."""
+    """One trial: the minor, its witness (parts: clique singletons, pairs,
+    seagulls) and exact accounting; instance facts live on PreparedPipeline."""
 
     h: Graph
     decomposition: BranchDecomposition
@@ -231,8 +231,9 @@ class PreparedPipeline:
         seagulls = np.fromiter(chain.from_iterable(triples), np.intp).reshape(-1, 3)
         parts = []
         for kind in (self._clique_parts, pairs, seagulls):
-            masks = [0] * len(kind)
-            for col in kind.T.tolist():  # a part's mask ORs its row's bits, column by column
+            first, *rest = kind.T.tolist()  # a part's mask ORs its row's bits, column by column
+            masks = [1 << v for v in first]
+            for col in rest:
                 masks = [m | 1 << v for m, v in zip(masks, col)]
             parts += masks
         decomposition = BranchDecomposition(host=g, parts=tuple(parts))
@@ -243,11 +244,10 @@ class PreparedPipeline:
         if h.n != n:
             raise MinorforgeError(f"minor has {h.n} vertices, expected {n}")
 
-        # A seagull's ends are not adjacent, so by alpha <= 2 each other vertex
-        # is adjacent to one of them; clique vertices are adjacent.  So only a
-        # pair against a clique vertex (bad triple) or another pair (bad
-        # quadruple) can be non-joined, and with every edge of h host-joined
-        # (minor_violation) equal counts are exact.  A pair is joined to itself.
+        # A seagull's ends are not adjacent, so by alpha <= 2 it is joined to
+        # every other part; clique vertices are adjacent; each pair is an edge.
+        # With every edge of h host-joined (minor_violation), h misses exactly
+        # the pairs' non-joins to clique vertices and to other pairs (seen twice).
         bad_triples, pair_pairs = _unjoined(g, pairs, self._clique_parts, pairs)
         bad_quads = pair_pairs // 2
         missing = comb(n, 2) - h.edge_count
