@@ -247,7 +247,7 @@ class PreparedPipeline:
         # A seagull's ends are not adjacent, so by alpha <= 2 it is joined to
         # every other part; clique vertices are adjacent; each pair is an edge.
         # With every edge of h host-joined (minor_violation), h misses exactly
-        # the pairs' non-joins to clique vertices and to other pairs (seen twice).
+        # the pairs' non-joins to clique vertices and to other pairs (counted twice).
         bad_triples, pair_pairs = _unjoined(g, pairs, self._clique_parts, pairs)
         bad_quads = pair_pairs // 2
         missing = comb(n, 2) - h.edge_count
