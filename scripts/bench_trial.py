@@ -11,13 +11,15 @@ trials on each and reports the median paced time of a whole trial
 (`PreparedPipeline.run`) and of its stages, each stage timed on that
 trial's own inputs: the sampler and subsample, `induced_subgraph` on the
 leftover set S, `seagull_partition`, and `contract` plus `minor_violation`
-on a decomposition built afresh from the trial's parts, so nothing either
-of them builds once per decomposition is shared between trials.  `rest_ms`
-is the trial's median less the stages' medians (the part arrays, their
-masks and the missing-edge accounting).  Times are paced milliseconds, as
-perfbench reports them: a call's wall time times PROBE_NOMINAL_S over the mean of
-perfbench's probe read just before and just after it, so other load on the
-machine moves them less than wall time.  `results_sha256` hashes every
+on a decomposition built afresh from the trial's part arrays, as the trial
+builds it (`BranchDecomposition.from_kinds`), so nothing either of them
+builds once per decomposition is shared between trials.  `rest_ms` is the
+trial's median less the stages' medians (the seagull array, the part masks
+and listing, the missing-edge accounting and the result's pair tuples).
+Times are paced milliseconds, as perfbench reports them: a call's wall time
+times PROBE_NOMINAL_S over the mean of perfbench's probe read just before
+and just after it, so other load on the machine moves them less than wall
+time.  `results_sha256` hashes every
 trial's counts, parts and minor adjacency (perfbench's `result_bytes`), so
 two commits whose files show the same digest built the same minors: point
 PYTHONPATH at the other checkout's src/ to time it with the same script.
@@ -32,6 +34,8 @@ import sys
 import time
 from pathlib import Path
 from statistics import median
+
+import numpy as np
 
 from minorforge.generators import generate
 from minorforge.graph import BranchDecomposition, contract, induced_subgraph, mask_of, minor_violation
@@ -63,12 +67,12 @@ def trial_times(prep: PreparedPipeline, trial: int) -> dict[str, float]:
     g = prep.g
     times = {}
     times["run"], res = timed(lambda: prep.run(trial))
-    times["sample"], m_star = timed(lambda: prep._sample_matching(trial))
-    covered = mask_of(v for edge in m_star for v in edge)
-    s_mask = g.vertex_mask & ~prep.clique & ~covered
+    times["sample"], pairs = timed(lambda: prep._sample_matching(trial))
+    s_mask = g.vertex_mask & ~prep.clique & ~mask_of(pairs.ravel().tolist())
     times["induced_subgraph"], (g_s, _) = timed(lambda: induced_subgraph(g, s_mask))
     times["seagull_partition"], _ = timed(lambda: seagull_partition(g_s))
-    d = BranchDecomposition(host=g, parts=res.decomposition.parts)
+    seagulls = np.array(res.seagulls.triples, dtype=np.intp)
+    d = BranchDecomposition.from_kinds(g, prep._clique_parts, pairs, seagulls)
     times["contract"], h = timed(lambda: contract(g, d))
     times["minor_violation"], violation = timed(lambda: minor_violation(g, h, d))
     if h != res.h or violation is not None:

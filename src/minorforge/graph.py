@@ -9,8 +9,8 @@ masks' own size), set when it is built; only this module knows their
 layout.  The bulk steps that would otherwise loop over every edge in Python
 gather the rows they need and unpack only those (unpack_rows), and
 complement_rows gives the complement's rows.  from_adj builds a graph from
-a square bool matrix.  A branch decomposition lists its parts by size once,
-on first use, and contract and minor_violation share that listing.
+a square bool matrix.  A branch decomposition lists its parts once, by size
+or from its part arrays, and contract and minor_violation share the listing.
 """
 
 from __future__ import annotations
@@ -163,6 +163,10 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
 
+    def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """has_edge for each (us[i], vs[i]), as a bool array: one gather from rows."""
+        return ((self.rows[us, vs >> 3] >> (vs & 7)) & 1).astype(bool)
+
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
@@ -272,9 +276,28 @@ class BranchDecomposition:
 
     @cached_property
     def _listing(self):
-        """_part_listing(self.parts), built on first use: contract and
-        minor_violation share it, and it comes from the parts alone."""
+        """_part_listing(self.parts), built on first use unless from_kinds set
+        it: contract and minor_violation share it."""
         return _part_listing(self.parts)
+
+    @classmethod
+    def from_kinds(cls, host: Graph, *kinds: np.ndarray) -> "BranchDecomposition":
+        """Parts from the rows of (parts x size) intp vertex arrays, listed from the arrays."""
+        parts, listing = [], []
+        for kind in filter(len, kinds):
+            first, *rest = kind.T.tolist()  # a part's mask ORs its row's bits, column by column
+            masks = [1 << v for v in first]
+            for col in rest:
+                masks = [m | 1 << v for m, v in zip(masks, col)]
+            start = len(parts)
+            parts += masks
+            if rest and min(map(int.bit_count, masks)) <= len(rest):
+                i = next(i for i, m in enumerate(masks) if m.bit_count() <= len(rest))
+                raise InvalidDecomposition(f"part {start + i} repeats a vertex")
+            listing.append((len(rest) + 1, list(range(start, len(parts))), kind.ravel()))
+        d = cls(host=host, parts=tuple(parts))
+        vars(d)["_listing"] = listing
+        return d
 
     def __post_init__(self):
         n = self.host.n

@@ -4,7 +4,9 @@ conditioned sampling behind the minor construction.
 A pairing of X is drawn uniformly over all (|X|-1)!! partitions of X into
 pairs by pairing up a uniform permutation.  The concentration event keeps
 the pairings whose edge count inside a host graph is not unusually low;
-rejection sampling conditions on it exactly.
+rejection sampling conditions on it exactly.  A pairing holds its pairs as
+a read-only p x 2 intp array of (low, high) rows, by low when sampled, and
+lists them as tuples only when asked.
 """
 
 from __future__ import annotations
@@ -19,38 +21,42 @@ from .errors import NotEnoughEdges, OddGroundSet, RejectionExhausted
 from .graph import Graph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Pairing:
-    """Partition of 0..ground_size-1 into unordered pairs, canonically sorted."""
+    """Partition of 0..ground_size-1 into unordered pairs, held as `array`, a
+    read-only p x 2 intp array of (low, high) rows.  The field `pairs` is a
+    property that lists them as tuples; equality, hash and repr read it."""
 
     ground_size: int
-    pairs: tuple[tuple[int, int], ...]
+    pairs: tuple[tuple[int, int], ...] = property(lambda m: tuple(map(tuple, m.array.tolist())))
 
-    def __post_init__(self):
-        if self.ground_size % 2:
-            raise OddGroundSet(f"ground set of size {self.ground_size}")
-        seen = 0
-        for u, v in self.pairs:
-            if u >= v:
-                raise ValueError("pairs must be (low, high)")
-            bit = (1 << u) | (1 << v)
-            if seen & bit:
+    def __init__(self, ground_size: int, pairs):
+        if ground_size % 2:
+            raise OddGroundSet(f"ground set of size {ground_size}")
+        array = np.array(pairs, dtype=np.intp).reshape(len(pairs), 2)
+        lo, hi = array.T
+        if (lo >= hi).any():
+            raise ValueError("pairs must be (low, high)")
+        seen = np.zeros(ground_size, dtype=bool)
+        if array.size == ground_size > 0 and lo.min() >= 0 and hi.max() < ground_size:
+            seen[array] = True
+        if not seen.all():  # not a cover: an overlap comes first
+            if len(set(array.ravel().tolist())) < array.size:
                 raise ValueError("pairs overlap")
-            seen |= bit
-        if seen != (1 << self.ground_size) - 1:
             raise ValueError("pairs do not cover the ground set")
-
-
-def _canonical(pairs) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted((u, v) if u < v else (v, u) for u, v in pairs))
+        array.flags.writeable = False
+        vars(self).update(ground_size=ground_size, array=array)  # frozen: no setattr
 
 
 def sample_uniform_pairing(x_size: int, rng: np.random.Generator) -> Pairing:
     """Exactly uniform over all (x_size-1)!! pairings."""
     if x_size % 2:
         raise OddGroundSet(f"ground set of size {x_size}")
-    perm = rng.permutation(x_size).tolist()
-    return Pairing(ground_size=x_size, pairs=_canonical(zip(perm[0::2], perm[1::2])))
+    a, b = rng.permutation(x_size).reshape(-1, 2).T
+    high = np.zeros(x_size, dtype=np.intp)  # each low's high, scattered; 0 at the highs
+    high[np.minimum(a, b)] = np.maximum(a, b)
+    lows = np.flatnonzero(high)  # the lows are distinct, so this lists them in order
+    return Pairing(x_size, np.stack((lows, high[lows]), axis=1))
 
 
 def all_pairings(x_size: int) -> Iterator[Pairing]:
@@ -59,8 +65,8 @@ def all_pairings(x_size: int) -> Iterator[Pairing]:
         raise OddGroundSet(f"ground set of size {x_size}")
 
     def rec(remaining: tuple[int, ...], acc):
-        if not remaining:
-            yield Pairing(ground_size=x_size, pairs=_canonical(acc))
+        if not remaining:  # each pair's low is the least vertex left, so acc is by low
+            yield Pairing(ground_size=x_size, pairs=tuple(acc))
             return
         u = remaining[0]
         for i in range(1, len(remaining)):
@@ -78,20 +84,15 @@ def pairing_edge_count(m: Pairing, g: Graph) -> int:
     """|M intersect E(g)|; the pairing must live on V(g)."""
     if m.ground_size != g.n:
         raise ValueError("pairing ground set does not match the graph")
-    adj = g.adj
-    return sum((adj[u] >> v) & 1 for u, v in m.pairs)
+    return int(np.count_nonzero(g.has_edges(*m.array.T)))
 
 
 def in_concentration_event(m: Pairing, g: Graph, lam) -> bool:
-    """|M intersect E(g)| >= |E(g)|/(x-1) - lambda, compared in exact rationals."""
-    if m.ground_size != g.n:
-        raise ValueError("pairing ground set does not match the graph")
-    x = g.n
-    if x < 2:
-        return True
-    lhs = Fraction(pairing_edge_count(m, g))
-    rhs = Fraction(g.edge_count, x - 1) - Fraction(lam)
-    return lhs >= rhs
+    """|M intersect E(g)| >= |E(g)|/(x-1) - lambda, compared exactly: for
+    lambda = p/q, (count q + p)(x - 1) >= |E(g)| q in integers."""
+    count = pairing_edge_count(m, g)
+    p, q = Fraction(lam).as_integer_ratio()
+    return g.n < 2 or (count * q + p) * (g.n - 1) >= g.edge_count * q
 
 
 def sample_conditioned(
@@ -116,19 +117,17 @@ def sample_conditioned(
     raise RejectionExhausted(f"no pairing {wanted}hit the event in {max_tries} tries")
 
 
-def subsample_matching(
-    m: Pairing, g: Graph, count: int, rng: np.random.Generator
-) -> tuple[tuple[int, int], ...]:
-    """Uniform count-subset of the pairing's edges that lie in E(g), as
-    sorted (low, high) pairs."""
+def subsample_matching(m: Pairing, g: Graph, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform count-subset of the pairing's edges that lie in E(g), as a
+    (count x 2) intp array of its (low, high) rows in the pairing's order."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    adj = g.adj
-    inside = [(u, v) for u, v in m.pairs if (adj[u] >> v) & 1]
+    inside = m.array[g.has_edges(*m.array.T)]
     if len(inside) < count:
         raise NotEnoughEdges(f"pairing has {len(inside)} graph edges, need {count}")
-    idx = rng.choice(len(inside), size=count, replace=False)
-    return tuple(sorted(inside[int(i)] for i in idx))
+    keep = np.zeros(len(inside), dtype=bool)
+    keep[rng.choice(len(inside), size=count, replace=False)] = True
+    return inside[keep]
 
 
 def chebyshev_bound(x_size: int, lam: float) -> float:

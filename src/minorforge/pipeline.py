@@ -29,12 +29,8 @@ from .graph import BranchDecomposition, Graph, bits, contract, induced_subgraph,
 from .graph import minor_violation, unpack_rows
 # in_concentration_event and sample_uniform_pairing are unused here, but
 # perfbench traces the sampler by looking both up in this module
-from .pairings import (
-    in_concentration_event,
-    sample_conditioned,
-    sample_uniform_pairing,
-    subsample_matching,
-)
+from .pairings import in_concentration_event, sample_conditioned, sample_uniform_pairing
+from .pairings import subsample_matching
 from .rng import trial_rng
 from .seagulls import SeagullPartition, seagull_partition
 
@@ -164,6 +160,7 @@ class PreparedPipeline:
         self.k = self.stats.k
         self.n = g.n // 2
         self.g_prime, self.idx_map, self.deleted_vertex = strip_clique(g, self.clique)
+        self._host_index = np.array(self.idx_map, dtype=np.intp)  # remaps the sampler's pairs
         # every trial's clique parts: k x 1, one singleton per clique vertex
         self._clique_parts = np.fromiter(bits(self.clique), dtype=np.intp).reshape(-1, 1)
         self.x = self.g_prime.n
@@ -192,15 +189,15 @@ class PreparedPipeline:
             raise NotCertifiable("bound undefined for these parameters")
         return self.bound.missing_bound
 
-    def _sample_matching(self, trial: int) -> tuple[tuple[int, int], ...]:
+    def _sample_matching(self, trial: int) -> np.ndarray:
         rng = trial_rng(self.cfg.seed, trial)
         want = self.n - 2 * self.k
         # advisory mode also conditions on having enough edges to subsample
         min_edges = want if self.cfg.mode == "advisory" else 0
         m = sample_conditioned(self.g_prime, self.lam, MAX_REJECTION_TRIES, rng, min_edges)
         local = subsample_matching(m, self.g_prime, want, rng)
-        # idx_map is increasing, so the remapped pairs stay (low, high) and sorted
-        return tuple((self.idx_map[u], self.idx_map[v]) for u, v in local)
+        # idx_map is increasing, so the remapped pairs stay (low, high) and by low
+        return self._host_index[local]
 
     def run(self, trial: int = 0) -> PipelineResult:
         g, n, k = self.g, self.n, self.k
@@ -210,8 +207,7 @@ class PreparedPipeline:
                 "minor on |V|/2 vertices exists by the packing characterisation; "
                 "constructing it is out of scope here"
             )
-        m_star = self._sample_matching(trial)
-        pairs = np.fromiter(chain.from_iterable(m_star), np.intp).reshape(-1, 2)
+        pairs = self._sample_matching(trial)
 
         s_mask = g.vertex_mask & ~self.clique & ~mask_of(pairs.ravel().tolist())
         if s_mask.bit_count() != 3 * k:
@@ -229,14 +225,8 @@ class PreparedPipeline:
 
         # the parts by kind, one (parts x size) vertex array each, in part order
         seagulls = np.fromiter(chain.from_iterable(triples), np.intp).reshape(-1, 3)
-        parts = []
-        for kind in (self._clique_parts, pairs, seagulls):
-            first, *rest = kind.T.tolist()  # a part's mask ORs its row's bits, column by column
-            masks = [1 << v for v in first]
-            for col in rest:
-                masks = [m | 1 << v for m, v in zip(masks, col)]
-            parts += masks
-        decomposition = BranchDecomposition(host=g, parts=tuple(parts))
+        clique = self._clique_parts
+        decomposition = BranchDecomposition.from_kinds(g, clique, pairs, seagulls)
         h = contract(g, decomposition)
         violation = minor_violation(g, h, decomposition)
         if violation is not None:
@@ -248,19 +238,24 @@ class PreparedPipeline:
         # every other part; clique vertices are adjacent; each pair is an edge.
         # With every edge of h host-joined (minor_violation), h misses exactly
         # the pairs' non-joins to clique vertices and to other pairs (counted twice).
-        bad_triples, pair_pairs = _unjoined(g, pairs, self._clique_parts, pairs)
+        bad_triples, pair_pairs = _unjoined(g, pairs, clique, pairs)
         bad_quads = pair_pairs // 2
         missing = comb(n, 2) - h.edge_count
         if missing != bad_triples + bad_quads:
+            # one kind against itself counts each pair twice; a singleton never joins itself
+            counts = _unjoined(g, seagulls, clique, pairs, seagulls) + _unjoined(g, clique, clique)
+            counts[2:] = counts[2] // 2, (counts[3] - k) // 2
+            kinds = ("seagull × clique", "seagull × pair", "seagull × seagull", "clique × clique")
+            named = "".join(f", {c} unjoined {kind}" for kind, c in zip(kinds, counts) if c)
             raise MinorforgeError(
                 f"accounting mismatch: {missing} missing vs "
-                f"{bad_triples}+{bad_quads} counted"
+                f"{bad_triples}+{bad_quads} counted{named}"
             )
 
         return PipelineResult(
             h=h,
             decomposition=decomposition,
-            m_star=m_star,
+            m_star=tuple(map(tuple, pairs.tolist())),
             seagulls=SeagullPartition(triples=triples),
             missing_edges=missing,
             realized_bad_triples=bad_triples,

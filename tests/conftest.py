@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import gc
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -278,6 +279,34 @@ def enumerate_bad_quadruples(g_prime: Graph) -> list[tuple[int, int, int, int]]:
             ):
                 out.append(tuple(sorted((u1, v1, u2, v2))))
     return out
+
+
+# --- reference pairings: the tuple sampler, event and subsample -----------------
+
+
+def oracle_uniform_pairing(x_size: int, rng: np.random.Generator) -> tuple[tuple[int, int], ...]:
+    """The pairs of a uniform pairing, from the same rng.permutation call:
+    consecutive entries paired up, each made (low, high), sorted."""
+    perm = rng.permutation(x_size).tolist()
+    return tuple(sorted((u, v) if u < v else (v, u) for u, v in zip(perm[0::2], perm[1::2])))
+
+
+def oracle_in_concentration_event(pairs, g: Graph, lam) -> bool:
+    """|M intersect E(g)| >= |E(g)|/(x-1) - lambda in exact rationals."""
+    if g.n < 2:
+        return True
+    count = sum((g.adj[u] >> v) & 1 for u, v in pairs)
+    return Fraction(count) >= Fraction(g.edge_count, g.n - 1) - Fraction(lam)
+
+
+def oracle_subsample(pairs, g: Graph, count: int, rng: np.random.Generator):
+    """The same rng.choice call over the pairs that are edges of g, the
+    chosen ones sorted; None when fewer than count are edges."""
+    inside = [(u, v) for u, v in pairs if (g.adj[u] >> v) & 1]
+    if len(inside) < count:
+        return None
+    idx = rng.choice(len(inside), size=count, replace=False)
+    return tuple(sorted(inside[int(i)] for i in idx))
 
 
 # --- reference alpha check ------------------------------------------------------

@@ -363,6 +363,46 @@ def test_cached_part_listing_is_the_listing_of_the_parts(order):
 @ORDERS
 @PROPERTY
 @given(data=st.data())
+def test_kind_array_listing_is_the_listing_of_the_parts(order, data):
+    g, edges, rnd = draw_graph(data, order)
+    # disjoint parts, one kind per size in a drawn order, rows in any vertex
+    # order, and a kind with no parts somewhere among them
+    free = rnd.sample(range(g.n), g.n)
+    kinds = []
+    for size in rnd.sample((1, 2, 3, 5), rnd.randint(1, 4)):
+        count = rnd.randint(0, len(free) // size)
+        kinds.append(np.array(free[: size * count], dtype=np.intp).reshape(count, size))
+        del free[: size * count]
+    kinds.insert(rnd.randint(0, len(kinds)), np.empty((0, 4), dtype=np.intp))
+    parts = tuple(vertex_mask(row) for kind in kinds for row in kind.tolist())
+    d = BranchDecomposition.from_kinds(g, *kinds)
+    fresh = BranchDecomposition(host=g, parts=parts)
+    assert d == fresh
+    listing, expected = d._listing, _part_listing(parts)
+    assert [(s, which) for s, which, _ in listing] == [(s, which) for s, which, _ in expected]
+    for (s, _, verts), (_, _, want) in zip(listing, expected):
+        assert verts.dtype == np.intp
+        assert np.sort(verts.reshape(-1, s)).tolist() == want.reshape(-1, s).tolist()
+    full = Graph(len(parts), combinations(range(len(parts)), 2))
+    assert minor_violation(g, full, d) == minor_violation(g, full, fresh)
+
+
+def test_kind_arrays_are_refused_like_their_parts():
+    g = Graph(6, [(0, 1), (1, 2)])
+    singles = np.array([[0], [5]], dtype=np.intp)
+    for pairs, message in (
+        ([[1, 2], [3, 3]], "part 3 repeats a vertex"),
+        ([[1, 2], [3, 5]], "part 3 overlaps an earlier part"),
+        ([[1, 2], [3, 6]], "part 3 is out of range"),
+    ):
+        with pytest.raises(InvalidDecomposition) as exc:
+            BranchDecomposition.from_kinds(g, singles, np.array(pairs, dtype=np.intp))
+        assert str(exc.value) == message
+
+
+@ORDERS
+@PROPERTY
+@given(data=st.data())
 def test_text_roundtrip(order, data):
     g, _, _ = draw_graph(data, order)
     assert from_text(to_text(g)) == g

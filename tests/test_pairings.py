@@ -1,10 +1,18 @@
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import cyclic_garbage
+from conftest import (
+    cyclic_garbage,
+    oracle_in_concentration_event,
+    oracle_subsample,
+    oracle_uniform_pairing,
+)
 from minorforge.errors import NotEnoughEdges, OddGroundSet, RejectionExhausted
 from minorforge.generators import named_graph
 from minorforge.graph import Graph
@@ -84,6 +92,78 @@ def test_marginal_and_joint_probabilities_x6():
     assert abs(p_ef - 1 / 15) <= 4 * se_ef
 
 
+@pytest.mark.parametrize(
+    "size, pairs, error, message",
+    [
+        (3, ((1, 0), (0, 1)), OddGroundSet, "ground set of size 3"),
+        (4, ((0, 1), (0, 1), (3, 2)), ValueError, "pairs must be (low, high)"),
+        (4, ((0, 1), (2, 2)), ValueError, "pairs must be (low, high)"),
+        (4, ((0, 1), (1, 2)), ValueError, "pairs overlap"),
+        (4, ((0, 1), (2, 5), (2, 5)), ValueError, "pairs overlap"),
+        (4, ((0, 1),), ValueError, "pairs do not cover the ground set"),
+        (4, ((-1, 0), (1, 2)), ValueError, "pairs do not cover the ground set"),
+    ],
+    ids=["odd", "not-low-high", "loop", "overlap", "overlap-outside", "short", "outside"],
+)
+def test_pairing_refusals_in_order(size, pairs, error, message):
+    # each case also breaks every later rule: odd, (low, high), overlap, cover
+    with pytest.raises(error) as exc:
+        Pairing(ground_size=size, pairs=pairs)
+    assert str(exc.value) == message
+
+
+LAMBDAS = st.one_of(
+    st.just(0),
+    st.integers(1, 12),
+    st.just(Fraction(0.3)),
+    st.fractions(0, 12, max_denominator=10**20),
+    st.floats(0, 12),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    half=st.integers(0, 24),
+    density=st.sampled_from((0.0, 0.3, 0.7, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+    lam=LAMBDAS,
+    min_edges=st.integers(0, 24),
+)
+@example(half=0, density=0.0, seed=0, lam=0, min_edges=0)
+@example(half=1, density=1.0, seed=1, lam=Fraction(0.3), min_edges=1)
+def test_array_pairings_match_the_tuple_oracles(half, density, seed, lam, min_edges):
+    x = 2 * half
+    rnd = random.Random(seed)
+    g = Graph(x, [(u, v) for u in range(x) for v in range(u + 1, x) if rnd.random() < density])
+    ours, theirs = trial_rng(seed), trial_rng(seed)
+    m = sample_uniform_pairing(x, ours)
+    pairs = oracle_uniform_pairing(x, theirs)
+    assert m.pairs == pairs and m.array.shape == (half, 2) and m.array.dtype == np.intp
+    assert in_concentration_event(m, g, lam) == oracle_in_concentration_event(pairs, g, lam)
+    count = min(min_edges, half)
+    expected = oracle_subsample(pairs, g, count, theirs)
+    if expected is None:
+        with pytest.raises(NotEnoughEdges):
+            subsample_matching(m, g, count, ours)
+    else:
+        assert tuple(map(tuple, subsample_matching(m, g, count, ours).tolist())) == expected
+    assert ours.random(4).tolist() == theirs.random(4).tolist()  # the same draws before
+    if lam > 0:  # the conditioned sampler, against a loop over the oracles
+        ours, theirs = trial_rng(seed, 1), trial_rng(seed, 1)
+        try:
+            got = sample_conditioned(g, lam, 5, ours, min_edges).pairs
+        except RejectionExhausted:
+            got = None
+        want = None
+        for _ in range(5):
+            pairs = oracle_uniform_pairing(x, theirs)
+            inside = sum(g.has_edge(u, v) for u, v in pairs)
+            if oracle_in_concentration_event(pairs, g, lam) and inside >= min_edges:
+                want = pairs
+                break
+        assert got == want
+
+
 def test_pairing_edge_count_examples():
     m = Pairing(ground_size=4, pairs=((0, 1), (2, 3)))
     assert pairing_edge_count(m, k_n(4)) == 2
@@ -107,6 +187,7 @@ def test_event_uses_exact_rationals():
     from fractions import Fraction
 
     assert in_concentration_event(diag, c_n(4), Fraction(4, 3))
+    assert not in_concentration_event(diag, c_n(4), Fraction(4, 3) - Fraction(1, 10**12))
 
 
 def test_conditioned_uniform_on_event_x6():
@@ -172,9 +253,9 @@ def test_subsample_edges():
     assert len(subsample_matching(m, g, 0, rng)) == 0
     with pytest.raises(NotEnoughEdges):
         subsample_matching(m, g, total + 1, rng)
-    sub = subsample_matching(m, g, max(total - 1, 0), rng)
+    sub = subsample_matching(m, g, max(total - 1, 0), rng).tolist()
     assert all(g.has_edge(u, v) for u, v in sub)
-    assert all(e in m.pairs for e in sub)
+    assert all(tuple(e) in m.pairs for e in sub)
 
 
 def test_subsample_inclusion_probability():
@@ -183,7 +264,7 @@ def test_subsample_inclusion_probability():
     m = Pairing(ground_size=8, pairs=((0, 1), (2, 3), (4, 5), (6, 7)))
     rng = trial_rng(13)
     trials = 20000
-    hits = sum(1 for _ in range(trials) if (0, 1) in subsample_matching(m, g, 2, rng))
+    hits = sum(1 for _ in range(trials) if [0, 1] in subsample_matching(m, g, 2, rng).tolist())
     est = hits / trials
     se = (est * (1 - est) / trials) ** 0.5
     assert abs(est - 0.5) <= 4 * se

@@ -20,7 +20,7 @@ from conftest import (
     oracle_joined,
     small_alpha2_graphs,
 )
-from minorforge import pipeline
+from minorforge import graph, pipeline
 from minorforge.analysis import clique_stats, max_clique
 from minorforge.errors import (
     AlphaTooLarge,
@@ -319,7 +319,7 @@ def test_accounting_catches_a_dropped_minor_edge(monkeypatch, prepared240, kind)
         return Graph(h.n, [e for e in edges if e != drop])
 
     monkeypatch.setattr(pipeline, "contract", dropping_contract)
-    with pytest.raises(MinorforgeError):
+    with pytest.raises(MinorforgeError, match="^accounting mismatch: .* counted$"):  # no kind pair to name
         prepared240.run(0)
 
 
@@ -359,7 +359,7 @@ def _triangle_among_seagulls(prep):
     seagulls.  z's non-neighbours are a clique, since alpha <= 2."""
     g = prep.g
     for trial in range(20):
-        covered = mask_of(v for e in prep._sample_matching(trial) for v in e)
+        covered = mask_of(prep._sample_matching(trial).ravel().tolist())
         s_verts = list(bits(g.vertex_mask & ~prep.clique & ~covered))
         g_s = induced_subgraph(g, mask_of(s_verts))[0]
         for z in bits(prep.clique):
@@ -378,11 +378,20 @@ def _triangle_among_seagulls(prep):
 def test_a_seagull_part_that_is_not_a_seagull_is_refused(monkeypatch, prepared240):
     # the triangle passes every witness check, but z's singleton part is not
     # joined to it: a structural zero of the accounting fails, so the trial
-    # must refuse the minor
+    # must refuse the minor and name the kind pair that broke
     trial, planted = _triangle_among_seagulls(prepared240)
     monkeypatch.setattr(pipeline, "seagull_partition", lambda g_s: SeagullPartition(planted))
-    with pytest.raises(MinorforgeError, match="accounting mismatch"):
+    with pytest.raises(MinorforgeError, match="^accounting mismatch: .*, 1 unjoined seagull × clique$"):
         prepared240.run(trial)
+
+
+def test_a_trial_takes_its_part_listing_from_the_kind_arrays(monkeypatch, prepared110):
+    def no_listing(parts):
+        raise AssertionError("the trial listed its parts from their masks")
+
+    monkeypatch.setattr(graph, "_part_listing", no_listing)
+    res = prepared110.run(0)
+    assert res.m_star and {(type(p), type(p[0])) for p in res.m_star} == {(tuple, int)}
 
 
 # the trial's calls that perfbench traces as pipeline globals

@@ -216,7 +216,7 @@ def _leftover_graphs(n, seed, trials):
     )
     out = []
     for trial in range(trials):
-        covered = mask_of(v for e in prep._sample_matching(trial) for v in e)
+        covered = mask_of(prep._sample_matching(trial).ravel().tolist())
         s_mask = prep.g.vertex_mask & ~prep.clique & ~covered
         out.append(induced_subgraph(prep.g, s_mask)[0])
     return out
