@@ -286,9 +286,13 @@ class BranchDecomposition:
         parts, listing = [], []
         for kind in filter(len, kinds):
             first, *rest = kind.T.tolist()  # a part's mask ORs its row's bits, column by column
-            masks = [1 << v for v in first]
-            for col in rest:
-                masks = [m | 1 << v for m, v in zip(masks, col)]
+            try:
+                masks = [1 << v for v in first]
+                for col in rest:
+                    masks = [m | 1 << v for m, v in zip(masks, col)]
+            except ValueError:  # a negative shift: a vertex below 0
+                i = len(parts) + int(np.flatnonzero((kind < 0).any(1))[0])
+                raise InvalidDecomposition(f"part {i} is out of range") from None
             start = len(parts)
             parts += masks
             if rest and min(map(int.bit_count, masks)) <= len(rest):

@@ -394,6 +394,7 @@ def test_kind_arrays_are_refused_like_their_parts():
         ([[1, 2], [3, 3]], "part 3 repeats a vertex"),
         ([[1, 2], [3, 5]], "part 3 overlaps an earlier part"),
         ([[1, 2], [3, 6]], "part 3 is out of range"),
+        ([[1, 2], [3, -1]], "part 3 is out of range"),
     ):
         with pytest.raises(InvalidDecomposition) as exc:
             BranchDecomposition.from_kinds(g, singles, np.array(pairs, dtype=np.intp))

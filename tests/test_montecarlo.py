@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minorforge import generators, montecarlo, pipeline
+from minorforge import generators, montecarlo, pairings, pipeline
 from minorforge.rng import trial_rng
 
 
@@ -23,6 +23,16 @@ def test_sample_partners_rows_are_fixed_point_free_involutions(half, trials, see
     rows = np.arange(trials)[:, None]
     assert (partner[rows, partner] == ids).all()
     assert (partner != ids).all()
+
+
+@pytest.mark.parametrize("x", [2, 4, 10, 50])
+def test_sample_partners_draws_the_pipelines_pairing(x):
+    # the pairing suites check sample_partners; the trial draws sample_uniform_pairing
+    for seed in range(20):
+        pairs = pairings.sample_uniform_pairing(x, trial_rng(seed)).array
+        partner = np.empty(x, dtype=np.intp)
+        partner[pairs[:, 0]], partner[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+        assert montecarlo.sample_partners(x, 1, trial_rng(seed))[0].tolist() == partner.tolist()
 
 
 def test_expectation_bound_prepares_each_swept_instance_once(monkeypatch):
