@@ -16,7 +16,6 @@ import hashlib
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import analysis, bounds, generators, montecarlo, pipeline
 from .errors import (
@@ -64,15 +63,6 @@ def _int_list(text: str, option: str) -> list[int]:
         return [int(x) for x in text.split(",")]
     except ValueError:
         raise ValueError(f"{option} takes comma-separated integers, got {text!r}") from None
-
-
-def _parse_lambda(text: str):
-    if text in ("n23", "clamped"):
-        return text
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"bad lambda {text!r}: use n23, clamped, or a rational") from None
 
 
 # --- gen ----------------------------------------------------------------------
@@ -146,9 +136,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_build_minor(args) -> int:
     g, digest = _read_input(args.graph)
-    cfg = pipeline.PipelineConfig(
-        lambda_policy=_parse_lambda(args.lam), seed=args.seed, mode=args.mode
-    )
+    cfg = pipeline.PipelineConfig(lambda_policy=args.lam, seed=args.seed, mode=args.mode)
     t0 = time.monotonic()
     prep = pipeline.PreparedPipeline(g, cfg)
     result = prep.run(args.trial)

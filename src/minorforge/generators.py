@@ -64,7 +64,11 @@ def triangle_free_process_complement(num_vertices: int, rng: np.random.Generator
 def _blowup(pattern: np.ndarray, sizes) -> Graph:
     """Part i is sizes[i] consecutive vertices (or sizes each, for an int);
     parts i and j are joined when pattern[i, j], a part is a clique when
-    pattern[i, i]."""
+    pattern[i, i].  The order is refused above MAX_ORDER before anything is
+    allocated."""
+    order = sum(np.broadcast_to(sizes, len(pattern)).tolist())  # Python ints: no wrap-around
+    if order > MAX_ORDER:
+        raise ValueError(f"order {order} exceeds the limit {MAX_ORDER}")
     adj = np.repeat(np.repeat(pattern, sizes, axis=0), sizes, axis=1)
     np.fill_diagonal(adj, False)
     return Graph.from_adj(adj)
@@ -75,8 +79,6 @@ def c5_blowup_complement(t: int) -> Graph:
     vertices, clique number 2t."""
     if t < 1:
         raise ValueError("t must be at least 1")
-    if 5 * t > MAX_ORDER:
-        raise ValueError(f"order {5 * t} exceeds the limit {MAX_ORDER}")
     # part i is joined to every part but i +- 1 (mod 5), its five-cycle neighbours
     step = np.roll(np.eye(5, dtype=bool), 1, axis=1)
     return _blowup(~(step | step.T), t)
@@ -87,8 +89,6 @@ def two_clique_complement(s: int, t: int) -> Graph:
     bipartite graph).  Pipeline-ineligible; an edge-case supplier."""
     if s < 0 or t < 0:
         raise ValueError("sizes must be nonnegative")
-    if s + t > MAX_ORDER:
-        raise ValueError(f"order {s + t} exceeds the limit {MAX_ORDER}")
     return _blowup(np.eye(2, dtype=bool), (s, t))
 
 
@@ -136,9 +136,7 @@ def named_graph(name: str, order: int | None = None) -> Graph:
     if name == "k_n":
         if order is None or order < 0:
             raise UnknownName("k_n needs a nonnegative order")
-        if order > MAX_ORDER:
-            raise ValueError(f"order {order} exceeds the limit {MAX_ORDER}")
-        return Graph.from_adj(~np.eye(order, dtype=bool))
+        return _blowup(np.ones((1, 1), dtype=bool), order)
     if name not in _NAMED:
         raise UnknownName(f"unknown named graph {name!r}")
     return _NAMED[name]()

@@ -44,7 +44,8 @@ class PipelineConfig:
     """Knobs of one pipeline run.
 
     lambda_policy: "n23" (lambda = n^(2/3)), "clamped"
-    (min(n^(2/3), (k-1)/2)), or an explicit positive number.
+    (min(n^(2/3), (k-1)/2)), or an explicit positive rational: anything
+    Fraction reads, such as 13.5 or "27/2".  Only construction parses it.
     strict mode keeps the expectation certificate; advisory mode only
     requires that a conditioned pairing with enough edges is found.
     """
@@ -56,12 +57,15 @@ class PipelineConfig:
     def __post_init__(self):
         if self.mode not in ("strict", "advisory"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if isinstance(self.lambda_policy, str):
-            if self.lambda_policy not in ("n23", "clamped"):
-                raise ValueError(f"unknown lambda policy {self.lambda_policy!r}")
-        elif (lam := Fraction(self.lambda_policy)) <= 0:
+        if (policy := self.lambda_policy) in ("n23", "clamped"):
+            return
+        try:
+            lam = Fraction(policy)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            raise ValueError(f"bad lambda {policy!r}: use n23, clamped, or a rational") from None
+        if lam <= 0:
             raise ValueError("explicit lambda must be positive")
-        elif lam > sys.float_info.max or float(lam) * float(lam) == 0:
+        if lam > sys.float_info.max or float(lam) * float(lam) == 0:
             # the bound report takes 2n / lambda^2 in floats
             raise ValueError("explicit lambda must be a finite float with a nonzero float square")
 
@@ -129,13 +133,11 @@ def strip_clique(g: Graph, z: int) -> tuple[Graph, tuple[int, ...], int | None]:
 
 
 def resolve_lambda(policy, n: int, k: int) -> Fraction:
-    """Evaluate the lambda policy; floats convert exactly to rationals."""
-    if isinstance(policy, str):
+    """Evaluate a lambda policy PipelineConfig accepted; explicit values
+    convert exactly to rationals."""
+    if policy in ("n23", "clamped"):
         n23 = Fraction(float(n) ** (2.0 / 3.0))
-        if policy == "n23":
-            return n23
-        if policy == "clamped":
-            return min(n23, Fraction(k - 1, 2))
+        return n23 if policy == "n23" else min(n23, Fraction(k - 1, 2))
     return Fraction(policy)
 
 

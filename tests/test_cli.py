@@ -360,6 +360,8 @@ def run_module(*argv):
         (("build-minor", "GRAPH", "--lambda", "1e400"), "lambda"),
         (("build-minor", "GRAPH", "--lambda", "1e-320"), "lambda"),
         (("build-minor", "GRAPH", "--lambda", "1e-400"), "lambda"),
+        (("build-minor", "GRAPH", "--lambda", "abc"), "bad lambda"),
+        (("build-minor", "GRAPH", "--lambda", "1/0"), "bad lambda"),
         # refused before the input is read: a missing file would be named instead
         (("build-minor", "no-such-graph.txt", "--trial", "-1"), "--trial"),
         (("build-minor", "no-such-graph.txt", "--seed", "-1"), "--seed"),
@@ -385,6 +387,8 @@ def test_misuse_exits_2_with_one_line(argv, says, instance_file):
         ("--named", "k_n", "--order", "32769"),
         ("--family", "c5blowup", "--t", "6554"),
         ("--family", "two_clique", "--sizes", "16385,16384"),
+        # 2^62 + 2^62 wraps to a negative int64 sum
+        ("--family", "two_clique", "--sizes", "4611686018427387904,4611686018427387904"),
     ],
     ids=" ".join,
 )

@@ -91,6 +91,10 @@ FILE_CASES = [
     # lambda^2 <= 2n: no bound, and the gate names that first
     (("build-minor", "tfp110.txt", "--lambda", "5"),
      0, "98d44115dabaaf75c7a4e227159e4023b8531cbf978dc49239800351ded3d5e9"),
+    # rational text, parsed only by PipelineConfig; pinned before the CLI
+    # stopped parsing lambda itself
+    (("build-minor", "tfp110.txt", "--lambda", "27/2"),
+     0, "10f8effd07f6075c031ab1112c1770fa8ba51f194660269a0b44d7a53f8622a7"),
     (("build-minor", "tfp110.txt", "--mode", "advisory"),
      0, "b296342c96617e844dd2ce2a9bf7091ffeb50355a40c15e820bc25b3b52b4979"),
     # above the exact-clique limit: the local-search clique

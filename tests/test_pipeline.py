@@ -179,10 +179,39 @@ def test_resolve_lambda_policies():
     assert isinstance(lam, Fraction) and float(lam) == pytest.approx(16.0)
     assert resolve_lambda("clamped", 64, 10) == Fraction(9, 2)
     assert resolve_lambda(Fraction(7, 2), 64, 10) == Fraction(7, 2)
-    with pytest.raises(ValueError):
-        PipelineConfig(lambda_policy="bogus")
-    with pytest.raises(ValueError):
-        PipelineConfig(lambda_policy=-1)
+    for name in ("n23", "clamped"):
+        assert PipelineConfig(lambda_policy=name).lambda_policy == name
+
+
+@pytest.mark.parametrize("policy,value", [
+    ("27/2", Fraction(27, 2)), ("13.25", Fraction(53, 4)),
+    (Fraction(27, 2), Fraction(27, 2)), (13.5, Fraction(27, 2)),
+])
+def test_explicit_lambda_is_parsed_exactly(policy, value):
+    cfg = PipelineConfig(lambda_policy=policy)
+    lam = resolve_lambda(cfg.lambda_policy, 64, 10)
+    assert type(lam) is Fraction and lam == value
+
+
+@pytest.mark.parametrize(
+    "policy", ["abc", "1/0", "nan", "", "bogus", float("nan"), float("inf"), None]
+)
+def test_unreadable_lambda_is_refused(policy):
+    with pytest.raises(ValueError) as exc:
+        PipelineConfig(lambda_policy=policy)
+    assert str(exc.value) == f"bad lambda {policy!r}: use n23, clamped, or a rational"
+
+
+@pytest.mark.parametrize("policy", ["0", "-3/2", -1])
+def test_nonpositive_lambda_is_refused(policy):
+    with pytest.raises(ValueError, match="^explicit lambda must be positive$"):
+        PipelineConfig(lambda_policy=policy)
+
+
+@pytest.mark.parametrize("policy", ["1e400", "1e-320", "1e-400"])
+def test_lambda_outside_the_float_range_is_refused(policy):
+    with pytest.raises(ValueError, match="^explicit lambda must be a finite float with a nonzero"):
+        PipelineConfig(lambda_policy=policy)
 
 
 # --- run_pipeline -------------------------------------------------------------------
@@ -489,6 +518,12 @@ def test_certify_batch(instance110):
     assert cert.status in ("PASS", "FAIL")
     assert cert.trials == 8 and cert.bound == prep.bound.missing_bound
     assert cert.observed == pytest.approx(sum(missing) / 8)
+
+
+def test_certify_batch_passes_up_to_three_standard_errors_above_the_bound():
+    # [2, 4]: mean 3, standard error 1, so a zero bound is met exactly
+    assert certify_batch(0.0, [2, 4]).status == "PASS"
+    assert certify_batch(0.0, [3, 5]).status == "FAIL"
 
 
 def test_batch_uses_distinct_trials(instance110):
