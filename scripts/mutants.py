@@ -1,26 +1,25 @@
 #!/usr/bin/env python3
 """Plant known faults in a copy of the package; the named tests must catch each.
 
-    python3 scripts/mutants.py [NAME ...]
+    python3 scripts/mutants.py
 
 Each MUTANTS entry names a file under src/minorforge/, an exact old text
 (found there exactly once), the text that replaces it, and the pytest node
 ids that must fail once it is in.  The script copies src/, tests/,
-perfbench/, scripts/, demos/ and pyproject.toml to a temporary directory and
-runs pytest there with PYTHONPATH at the copy's src/.  It first runs every
+perfbench/ (which tests/test_pipeline.py imports) and pyproject.toml to a
+temporary directory and runs pytest there with PYTHONPATH at the copy's src/.  It first runs every
 named test on the unchanged copy, where all must pass; then, entry by entry,
 it writes the mutated file, runs only that entry's tests and puts the file
 back.  A mutant is killed when pytest reports a failing test (exit code 1).
 
 Exit status 1 when an entry's old text is not found exactly once, when a
 mutant survives, or when pytest ends any other way (a collection error, an
-unknown node id); a surviving mutant stays in the table.  With NAMEs, only
-those entries run.  Standard library and pytest only.
+unknown node id); a surviving mutant stays in the table.  Standard library
+and pytest only.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -31,7 +30,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "perfbench", "scripts", "demos", "pyproject.toml")
+COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 TIMEOUT_S = 600
 
 
@@ -69,7 +68,7 @@ MUTANTS = (
     Mutant("has-edges-wrong-bit", "graph.py",
            ">> (vs & 7)) & 1",
            ">> (vs & 3)) & 1",
-           ("tests/test_pairings.py::test_array_pairings_match_the_tuple_oracles",)),
+           ("tests/test_graph.py::test_has_edges_reads_each_pair_from_the_rows",)),
     # the construction and its accounting
     Mutant("from-kinds-allows-repeats", "graph.py",
            "if rest and min(map(int.bit_count, masks)) <= len(rest):",
@@ -113,16 +112,8 @@ def pytest_exit(copy: Path, tests) -> int:
     return proc.returncode
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("names", nargs="*", help="run only these entries")
-    args = parser.parse_args(argv)
-    known = {m.name: m for m in MUTANTS}
-    unknown = [n for n in args.names if n not in known]
-    if unknown:
-        parser.error(f"unknown mutant {', '.join(unknown)}")
-    chosen = [known[n] for n in args.names] or list(MUTANTS)
-    problems = [p for p in map(stale, chosen) if p]
+def main() -> int:
+    problems = [p for p in map(stale, MUTANTS) if p]
     for p in problems:
         print(f"STALE    {p}")
     if problems:
@@ -136,13 +127,13 @@ def main(argv=None) -> int:
                 shutil.copytree(src, copy / name, ignore=shutil.ignore_patterns("__pycache__", "out"))
             else:
                 shutil.copy2(src, copy / name)
-        tests = list(dict.fromkeys(t for m in chosen for t in m.tests))
+        tests = list(dict.fromkeys(t for m in MUTANTS for t in m.tests))
         code = pytest_exit(copy, tests)
         if code != 0:
             print(f"ERROR    the named tests do not pass on the unchanged tree (pytest exit {code})")
             return 1
         bad = 0
-        for m in chosen:
+        for m in MUTANTS:
             path = copy / "src" / "minorforge" / m.file
             text = path.read_text()
             start = time.monotonic()
@@ -152,7 +143,7 @@ def main(argv=None) -> int:
             verdict = {1: "killed", 0: "SURVIVED"}.get(code, f"ERROR (pytest exit {code})")
             bad += code != 1
             print(f"{verdict:<9}{m.name} ({time.monotonic() - start:.1f} s)")
-    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
     return 1 if bad else 0
 
 

@@ -43,9 +43,9 @@ MAX_REJECTION_TRIES = 200
 class PipelineConfig:
     """Knobs of one pipeline run.
 
-    lambda_policy: "n23" (lambda = n^(2/3)), "clamped"
-    (min(n^(2/3), (k-1)/2)), or an explicit positive rational: anything
-    Fraction reads, such as 13.5 or "27/2".  Only construction parses it.
+    lambda_policy: "n23" (lambda = n^(2/3)), "clamped" (min(n^(2/3), (k-1)/2)),
+    or an explicit positive rational: anything Fraction reads, such as 13.5 or
+    "27/2"; construction parses and checks it once and keeps the Fraction.
     strict mode keeps the expectation certificate; advisory mode only
     requires that a conditioned pairing with enough edges is found.
     """
@@ -68,6 +68,7 @@ class PipelineConfig:
         if lam > sys.float_info.max or float(lam) * float(lam) == 0:
             # the bound report takes 2n / lambda^2 in floats
             raise ValueError("explicit lambda must be a finite float with a nonzero float square")
+        object.__setattr__(self, "lambda_policy", lam)
 
 
 @dataclass(frozen=True)
@@ -133,12 +134,11 @@ def strip_clique(g: Graph, z: int) -> tuple[Graph, tuple[int, ...], int | None]:
 
 
 def resolve_lambda(policy, n: int, k: int) -> Fraction:
-    """Evaluate a lambda policy PipelineConfig accepted; explicit values
-    convert exactly to rationals."""
-    if policy in ("n23", "clamped"):
-        n23 = Fraction(float(n) ** (2.0 / 3.0))
-        return n23 if policy == "n23" else min(n23, Fraction(k - 1, 2))
-    return Fraction(policy)
+    """Evaluate a lambda_policy of a PipelineConfig (explicit ones are Fractions)."""
+    if policy not in ("n23", "clamped"):
+        return policy
+    n23 = Fraction(float(n) ** (2.0 / 3.0))
+    return n23 if policy == "n23" else min(n23, Fraction(k - 1, 2))
 
 
 class PreparedPipeline:

@@ -2,6 +2,7 @@ import math
 import os
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from minorforge.errors import InvalidDecomposition, ParseError
@@ -33,6 +34,16 @@ def k_n(n):
 
 def c_n(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def test_has_edges_reads_each_pair_from_the_rows():
+    # ten vertices, so queries reach bits 4-7 of a row byte and a second byte
+    edges = {(i, (i + 1) % 10) for i in range(10)} | {(0, 5), (3, 7), (2, 9)}
+    g = Graph(10, edges)
+    us, vs = np.divmod(np.arange(100), 10)
+    expect = [(u, v) in edges or (v, u) in edges for u, v in zip(us.tolist(), vs.tolist())]
+    got = g.has_edges(us, vs)
+    assert got.dtype == bool and got.tolist() == expect
 
 
 def test_complement_complete_is_empty():

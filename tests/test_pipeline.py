@@ -189,6 +189,7 @@ def test_resolve_lambda_policies():
 ])
 def test_explicit_lambda_is_parsed_exactly(policy, value):
     cfg = PipelineConfig(lambda_policy=policy)
+    assert cfg == PipelineConfig(lambda_policy=value)  # held as the parsed Fraction
     lam = resolve_lambda(cfg.lambda_policy, 64, 10)
     assert type(lam) is Fraction and lam == value
 
