@@ -62,14 +62,47 @@ MUTANTS = (
            "(g.n - 1) > g.edge_count * q",
            ("tests/test_pairings.py::test_event_uses_exact_rationals",)),
     Mutant("lows-reversed", "pairings.py",
-           "lows = np.flatnonzero(high)",
-           "lows = np.flatnonzero(high)[::-1]",
+           "lows = np.flatnonzero(partner > np.arange(x_size))",
+           "lows = np.flatnonzero(partner > np.arange(x_size))[::-1]",
            ("tests/test_pairings.py::test_array_pairings_match_the_tuple_oracles",)),
+    Mutant("highs-paired-to-themselves", "pairings.py",
+           "partner[rows, perms[:, 1::2]] = perms[:, 0::2]",
+           "partner[rows, perms[:, 1::2]] = perms[:, 1::2]",
+           ("tests/test_pairings.py::test_sample_partners_rows_are_fixed_point_free_involutions",)),
     Mutant("has-edges-wrong-bit", "graph.py",
            ">> (vs & 7)) & 1",
            ">> (vs & 3)) & 1",
            ("tests/test_graph.py::test_has_edges_reads_each_pair_from_the_rows",)),
+    # the independent re-check of a minor: one mutant per reason it gives
+    Mutant("part-count-only-too-many", "graph.py",
+           "if len(d.parts) != h.n:",
+           "if len(d.parts) > h.n:",
+           ("tests/test_graph_properties.py::test_minor_violation_gives_each_reason[part_count]",)),
+    Mutant("empty-part-passes", "graph.py",
+           'if p == 0:\n            return f"empty_part',
+           'if p < 0:\n            return f"empty_part',
+           ("tests/test_graph_properties.py::test_minor_violation_gives_each_reason[empty_part]",)),
+    Mutant("range-off-by-one", "graph.py",
+           'if p >> n:\n            return f"out_of_range',
+           'if p >> n + 1:\n            return f"out_of_range',
+           ("tests/test_graph_properties.py::test_minor_violation_gives_each_reason[out_of_range]",)),
+    Mutant("overlap-with-the-last-part-only", "graph.py",
+           "        seen |= p\n    # near[i]",
+           "        seen = p\n    # near[i]",
+           ("tests/test_graph_properties.py::test_minor_violation_gives_each_reason[overlap]",)),
+    Mutant("linked-by-any-vertex", "graph.py",
+           ".reshape(-1, s).all(axis=1)",
+           ".reshape(-1, s).any(axis=1)",
+           ("tests/test_graph_properties.py::test_minor_violation_gives_each_reason[disconnected_part]",)),
+    Mutant("cross-edges-missed-unless-all-missing", "graph.py",
+           "if not bad.any():",
+           "if not bad.all():",
+           ("tests/test_graph_properties.py::test_minor_violation_gives_each_reason[missing_cross_edge]",)),
     # the construction and its accounting
+    Mutant("leftover-only-too-small", "pipeline.py",
+           "if s_mask.bit_count() != 3 * k:",
+           "if s_mask.bit_count() < 3 * k:",
+           ("tests/test_pipeline.py::test_a_leftover_set_of_the_wrong_size_is_refused[pair-dropped]",)),
     Mutant("from-kinds-allows-repeats", "graph.py",
            "if rest and min(map(int.bit_count, masks)) <= len(rest):",
            "if rest and min(map(int.bit_count, masks)) < 0:",

@@ -309,7 +309,6 @@ class CliqueStats:
     a <= k*k and a + 2b <= k*(|V|-k).
     """
 
-    clique: int
     k: int
     a: int
     b: int
@@ -320,7 +319,7 @@ def clique_stats(g: Graph, z: int) -> CliqueStats:
         raise NotAClique(f"vertex set {sorted(bits(z))} is not a clique")
     a = sum(g.n - 1 - g.degree(v) for v in bits(z))
     b = complement_edge_count(g, g.vertex_mask & ~z)
-    return CliqueStats(clique=z, k=z.bit_count(), a=a, b=b)
+    return CliqueStats(k=z.bit_count(), a=a, b=b)
 
 
 def capacity(g: Graph, c: int) -> Fraction:

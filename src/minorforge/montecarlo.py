@@ -16,7 +16,7 @@ import numpy as np
 
 from . import generators, pipeline
 from .errors import Ineligible, UnknownSuite
-from .pairings import chebyshev_bound
+from .pairings import chebyshev_bound, sample_partners
 from .rng import trial_rng
 
 
@@ -25,8 +25,8 @@ def _record(suite, quantity, estimate, stderr, bound, passed, **extra) -> dict:
             "stderr": stderr, "bound": bound, "pass": passed, **extra}
 
 
-# The pairing suites hold three trials x |X| int64 arrays and chebyshev one
-# trials x 50; a larger product is refused before anything is allocated.
+# A batch of pairings holds up to three trials x |X| int64 arrays (|X| = 50 at
+# most in chebyshev); a larger product is refused before anything is allocated.
 MAX_CELLS = 2**25
 
 
@@ -37,30 +37,14 @@ def _check_trials(trials: int, width: int = 0) -> None:
         raise ValueError(f"trials x {width} = {trials * width} cells exceeds the limit {MAX_CELLS}")
 
 
-def _permutations(x: int, trials: int, rng) -> np.ndarray:
-    """One uniform permutation of 0..x-1 per row."""
-    return rng.permuted(np.tile(np.arange(x), (trials, 1)), axis=1)
-
-
-def sample_partners(x: int, trials: int, rng) -> np.ndarray:
-    """partner[t, i] for `trials` uniform pairings of 0..x-1, each pairing
-    the consecutive entries of a uniform permutation."""
-    if x < 2 or x % 2:
-        raise ValueError(f"a pairing needs an even ground set of at least 2, got {x}")
-    perms = _permutations(x, trials, rng)
-    partner = np.empty_like(perms)
-    rows = np.arange(trials)[:, None]
-    partner[rows, perms[:, 0::2]] = perms[:, 1::2]
-    partner[rows, perms[:, 1::2]] = perms[:, 0::2]
-    return partner
-
-
 def pairing(x: int, trials: int, seed: int, joint: bool = False) -> list[dict]:
     """Estimate Pr[(1,2) is a pair] (target 1/(x-1)) or, with `joint`,
     Pr[(1,2) and (3,4) are pairs] (target 1/((x-1)(x-3)))."""
     _check_trials(trials, x)
     if joint and x < 4:
         raise ValueError(f"two disjoint pairs need a ground set of at least 4, got {x}")
+    if x < 2 or x % 2:
+        raise ValueError(f"a pairing needs an even ground set of at least 2, got {x}")
     partner = sample_partners(x, trials, trial_rng(seed, 0))
     hits = partner[:, 0] == 1
     if joint:
@@ -92,8 +76,8 @@ def chebyshev(trials: int, seed: int) -> list[dict]:
             for idx in chosen:
                 u, v = all_pairs[int(idx)]
                 fmat[u, v] = fmat[v, u] = True
-            perms = _permutations(x, trials, rng)
-            counts = fmat[perms[:, 0::2], perms[:, 1::2]].sum(axis=1)
+            # each pair of pairing t inside F is found from both of its ends
+            counts = fmat[np.arange(x), sample_partners(x, trials, rng)].sum(axis=1) // 2
             mean = f_size / (x - 1)
             for lam in (2, 5, 10):
                 tail = float(np.mean(np.abs(counts - mean) >= lam))

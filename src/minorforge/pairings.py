@@ -2,11 +2,11 @@
 conditioned sampling behind the minor construction.
 
 A pairing of X is drawn uniformly over all (|X|-1)!! partitions of X into
-pairs by pairing up a uniform permutation.  The concentration event keeps
-the pairings whose edge count inside a host graph is not unusually low;
-rejection sampling conditions on it exactly.  A pairing holds its pairs as
-a read-only p x 2 intp array of (low, high) rows, by low when sampled, and
-lists them as tuples only when asked.
+pairs by pairing up a uniform permutation, in `sample_partners` alone.  The
+concentration event keeps the pairings whose edge count inside a host graph
+is not unusually low; rejection sampling conditions on it exactly.  A pairing
+holds its pairs as a read-only p x 2 intp array of (low, high) rows, by low
+when sampled, and lists them as tuples only when asked.
 """
 
 from __future__ import annotations
@@ -48,15 +48,25 @@ class Pairing:
         vars(self).update(ground_size=ground_size, array=array)  # frozen: no setattr
 
 
-def sample_uniform_pairing(x_size: int, rng: np.random.Generator) -> Pairing:
-    """Exactly uniform over all (x_size-1)!! pairings."""
+def sample_partners(x_size: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """partner[t, i] for `count` uniform pairings of 0..x_size-1, each pairing
+    the consecutive entries of a uniform permutation.  Row t is the pairing
+    that the t-th of `count` successive sample_uniform_pairing calls draws."""
     if x_size % 2:
         raise OddGroundSet(f"ground set of size {x_size}")
-    a, b = rng.permutation(x_size).reshape(-1, 2).T
-    high = np.zeros(x_size, dtype=np.intp)  # each low's high, scattered; 0 at the highs
-    high[np.minimum(a, b)] = np.maximum(a, b)
-    lows = np.flatnonzero(high)  # the lows are distinct, so this lists them in order
-    return Pairing(x_size, np.stack((lows, high[lows]), axis=1))
+    perms = rng.permuted(np.tile(np.arange(x_size), (count, 1)), axis=1)
+    partner = np.empty_like(perms)
+    rows = np.arange(count)[:, None]
+    partner[rows, perms[:, 0::2]] = perms[:, 1::2]
+    partner[rows, perms[:, 1::2]] = perms[:, 0::2]
+    return partner
+
+
+def sample_uniform_pairing(x_size: int, rng: np.random.Generator) -> Pairing:
+    """Exactly uniform over all (x_size-1)!! pairings."""
+    partner = sample_partners(x_size, 1, rng)[0]
+    lows = np.flatnonzero(partner > np.arange(x_size))  # in increasing order
+    return Pairing(x_size, np.stack((lows, partner[lows]), axis=1))
 
 
 def all_pairings(x_size: int) -> Iterator[Pairing]:

@@ -161,8 +161,8 @@ class PreparedPipeline:
         self.stats = clique_stats(g, self.clique)
         self.k = self.stats.k
         self.n = g.n // 2
-        self.g_prime, self.idx_map, self.deleted_vertex = strip_clique(g, self.clique)
-        self._host_index = np.array(self.idx_map, dtype=np.intp)  # remaps the sampler's pairs
+        self.g_prime, idx_map, self.deleted_vertex = strip_clique(g, self.clique)
+        self._host_index = np.array(idx_map, dtype=np.intp)  # remaps the sampler's pairs
         # every trial's clique parts: k x 1, one singleton per clique vertex
         self._clique_parts = np.fromiter(bits(self.clique), dtype=np.intp).reshape(-1, 1)
         self.x = self.g_prime.n
@@ -198,7 +198,7 @@ class PreparedPipeline:
         min_edges = want if self.cfg.mode == "advisory" else 0
         m = sample_conditioned(self.g_prime, self.lam, MAX_REJECTION_TRIES, rng, min_edges)
         local = subsample_matching(m, self.g_prime, want, rng)
-        # idx_map is increasing, so the remapped pairs stay (low, high) and by low
+        # _host_index is increasing, so the remapped pairs stay (low, high) and by low
         return self._host_index[local]
 
     def run(self, trial: int = 0) -> PipelineResult:

@@ -285,8 +285,9 @@ def enumerate_bad_quadruples(g_prime: Graph) -> list[tuple[int, int, int, int]]:
 
 
 def oracle_uniform_pairing(x_size: int, rng: np.random.Generator) -> tuple[tuple[int, int], ...]:
-    """The pairs of a uniform pairing, from the same rng.permutation call:
-    consecutive entries paired up, each made (low, high), sorted."""
+    """The pairs of a uniform pairing, from one rng.permutation call (the
+    draw the library's sampler makes): consecutive entries paired up, each
+    made (low, high), sorted."""
     perm = rng.permutation(x_size).tolist()
     return tuple(sorted((u, v) if u < v else (v, u) for u, v in zip(perm[0::2], perm[1::2])))
 

@@ -33,7 +33,8 @@ from minorforge.generators import (
     two_clique_complement,
 )
 from minorforge.graph import verify_minor
-from minorforge.montecarlo import chebyshev, sample_partners
+from minorforge.montecarlo import chebyshev
+from minorforge.pairings import sample_partners
 from minorforge.pipeline import PipelineConfig, PreparedPipeline, certify_batch
 from minorforge.rng import trial_rng
 from minorforge.seagulls import max_disjoint_seagulls_bruteforce, seagull_partition

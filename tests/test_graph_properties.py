@@ -198,6 +198,31 @@ def test_minor_violation_matches_oracle(kind, order, data):
         assert expected is None
 
 
+# one decomposition of the path 0-1-2-3-4 per reason minor_violation gives:
+# parts, the minor's order and edges, and the reason
+PATH5 = {(0, 1), (1, 2), (2, 3), (3, 4)}
+REASONS = {
+    "none": ((0b00011, 0b00100), 2, [(0, 1)], None),
+    "part_count": ((0b00011, 0b00100), 3, [(0, 1)], "part_count: 2 parts for 3 minor vertices"),
+    "empty_part": ((0b00011, 0, 0b00100), 3, [], "empty_part: 1"),
+    "out_of_range": ((0b00011, 1 << 5), 2, [], "out_of_range: part 1"),
+    # part 2 overlaps part 0, not the part just before it
+    "overlap": ((0b00011, 0b01000, 0b00110), 3, [], "overlap: part 2"),
+    # 0 and 1 are joined inside {0, 1, 3}, 3 to neither
+    "disconnected_part": ((0b00100, 0b01011), 2, [], "disconnected_part: 1"),
+    "missing_cross_edge": ((0b00001, 0b00010, 0b01000), 3, [(0, 1), (0, 2), (1, 2)],
+                           "missing_cross_edge: (0,2)"),
+}
+
+
+@pytest.mark.parametrize("reason", REASONS)
+def test_minor_violation_gives_each_reason(reason):
+    parts, h_n, h_edges, expected = REASONS[reason]
+    assert oracle_minor_violation(5, PATH5, h_n, set(h_edges), parts) == expected
+    d = unchecked_decomposition(Graph(5, PATH5), parts)
+    assert minor_violation(Graph(5, PATH5), Graph(h_n, h_edges), d) == expected
+
+
 @pytest.mark.parametrize("kind", DISCONNECTED)
 @ORDERS
 @PROPERTY

@@ -23,6 +23,7 @@ from minorforge.pairings import (
     in_concentration_event,
     pairing_edge_count,
     sample_conditioned,
+    sample_partners,
     sample_uniform_pairing,
     subsample_matching,
 )
@@ -47,7 +48,42 @@ def test_odd_ground_set_rejected():
     with pytest.raises(OddGroundSet):
         sample_uniform_pairing(5, trial_rng(0))
     with pytest.raises(OddGroundSet):
+        sample_partners(5, 3, trial_rng(0))
+    with pytest.raises(OddGroundSet):
         Pairing(ground_size=3, pairs=((0, 1),))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    half=st.integers(1, 40),
+    count=st.integers(1, 30),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_sample_partners_rows_are_fixed_point_free_involutions(half, count, seed):
+    x = 2 * half
+    partner = sample_partners(x, count, trial_rng(seed))
+    assert partner.shape == (count, x)
+    ids = np.arange(x)
+    rows = np.arange(count)[:, None]
+    assert (partner[rows, partner] == ids).all()
+    assert (partner != ids).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    half=st.integers(1, 40),
+    count=st.integers(1, 30),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_sample_partners_rows_are_successive_uniform_pairings(half, count, seed):
+    # the pairing suites draw a batch; the trial draws one pairing at a time
+    x = 2 * half
+    rng = trial_rng(seed)
+    expected = np.empty((count, x), dtype=np.intp)
+    for t in range(count):
+        pairs = sample_uniform_pairing(x, rng).array
+        expected[t, pairs[:, 0]], expected[t, pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+    assert sample_partners(x, count, trial_rng(seed)).tolist() == expected.tolist()
 
 
 def test_all_pairings_counts():
@@ -131,6 +167,7 @@ LAMBDAS = st.one_of(
 )
 @example(half=0, density=0.0, seed=0, lam=0, min_edges=0)
 @example(half=1, density=1.0, seed=1, lam=Fraction(0.3), min_edges=1)
+@example(half=3, density=0.3, seed=3, lam=1, min_edges=1)  # more than one pair, so order shows
 def test_array_pairings_match_the_tuple_oracles(half, density, seed, lam, min_edges):
     x = 2 * half
     rnd = random.Random(seed)

@@ -353,6 +353,22 @@ def test_accounting_catches_a_dropped_minor_edge(monkeypatch, prepared240, kind)
         prepared240.run(0)
 
 
+@pytest.mark.parametrize("change", ["pair-dropped", "pair-on-the-clique"])
+def test_a_leftover_set_of_the_wrong_size_is_refused(monkeypatch, prepared110, change):
+    # one pair fewer leaves its two ends over; a pair end on a clique vertex
+    # leaves the vertex it replaced over
+    prep, k = prepared110, prepared110.k
+    pairs = prep._sample_matching(0)
+    if change == "pair-dropped":
+        pairs, leftover = pairs[:-1], 3 * k + 2
+    else:
+        pairs, leftover = pairs.copy(), 3 * k + 1
+        pairs[-1, 1] = prep._clique_parts[0, 0]
+    monkeypatch.setattr(prep, "_sample_matching", lambda trial: pairs)
+    with pytest.raises(MinorforgeError, match=f"^leftover set has {leftover} vertices, expected {3 * k}$"):
+        prep.run(0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_unjoined_counts_the_part_pairs_the_oracle_leaves_unjoined(data):
