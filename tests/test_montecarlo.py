@@ -1,8 +1,20 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from minorforge import generators, montecarlo, pipeline
+from minorforge import generators, montecarlo, pairings, pipeline
+from minorforge.rng import trial_rng
+
+
+@pytest.mark.parametrize("x", [2, 4, 10, 50])
+def test_sample_partners_draws_the_pipelines_pairing(x):
+    # the mc pairing suites draw sample_partners; the trial draws sample_uniform_pairing
+    for seed in range(20):
+        pairs = pairings.sample_uniform_pairing(x, trial_rng(seed)).array
+        partner = np.empty(x, dtype=np.intp)
+        partner[pairs[:, 0]], partner[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+        assert pairings.sample_partners(x, 1, trial_rng(seed))[0].tolist() == partner.tolist()
 
 
 def test_expectation_bound_prepares_each_swept_instance_once(monkeypatch):
