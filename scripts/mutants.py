@@ -69,6 +69,22 @@ MUTANTS = (
            "partner[rows, perms[:, 1::2]] = perms[:, 0::2]",
            "partner[rows, perms[:, 1::2]] = perms[:, 1::2]",
            ("tests/test_pairings.py::test_sample_partners_rows_are_fixed_point_free_involutions",)),
+    Mutant("subsample-first-rows", "pairings.py",
+           "    return inside[keep]\n",
+           "    return inside[:count]\n",
+           ("tests/test_pairings.py::test_subsample_inclusion_probability",)),
+    Mutant("pairing-overlap-allowed", "pairings.py",
+           "if len(set(array.ravel().tolist())) < array.size:",
+           "if len(set(array.ravel().tolist())) < 0:",
+           ("tests/test_pairings.py::test_pairing_refusals_in_order[overlap]",)),
+    Mutant("pairing-loop-allowed", "pairings.py",
+           "if (lo >= hi).any():",
+           "if (lo > hi).any():",
+           ("tests/test_pairings.py::test_pairing_refusals_in_order[loop]",)),
+    Mutant("event-lambda-rounded", "pairings.py",
+           "p, q = Fraction(lam).as_integer_ratio()",
+           "p, q = Fraction(lam).limit_denominator(1000).as_integer_ratio()",
+           ("tests/test_pairings.py::test_event_uses_exact_rationals",)),
     Mutant("has-edges-wrong-bit", "graph.py",
            ">> (vs & 7)) & 1",
            ">> (vs & 3)) & 1",
@@ -91,30 +107,75 @@ MUTANTS = (
            "        seen = p\n    # near[i]",
            ("tests/test_graph_properties.py::test_minor_violation_gives_each_reason[overlap]",)),
     Mutant("linked-by-any-vertex", "graph.py",
-           ".reshape(-1, s).all(axis=1)",
-           ".reshape(-1, s).any(axis=1)",
+           "near[which, kind].all(axis=1)",
+           "near[which, kind].any(axis=1)",
            ("tests/test_graph_properties.py::test_minor_violation_gives_each_reason[disconnected_part]",)),
     Mutant("cross-edges-missed-unless-all-missing", "graph.py",
            "if not bad.any():",
            "if not bad.all():",
            ("tests/test_graph_properties.py::test_minor_violation_gives_each_reason[missing_cross_edge]",)),
+    # the part listing those re-checks and the accounting share
+    Mutant("or-rows-first-column-only", "graph.py",
+           "[mat[c] for c in k.T]",
+           "[mat[c] for c in k.T[:1]]",
+           ("tests/test_pipeline.py::test_unjoined_counts_the_part_pairs_the_oracle_leaves_unjoined",
+            "tests/test_graph_properties.py::test_minor_violation_gives_each_reason[none]")),
+    Mutant("linked-rows-one-part-late", "graph.py",
+           "which = np.arange(len(linked), len(linked) + len(kind))[:, None]",
+           "which = (np.arange(len(linked), len(linked) + len(kind))[:, None] + 1) % len(near)",
+           ("tests/test_graph_properties.py::test_part_listing_splits_interleaved_sizes_into_runs[path]",)),
+    Mutant("trial-re-derives-its-listing", "graph.py",
+           '        vars(d)["_listing"] = listing\n',
+           "",
+           ("tests/test_pipeline.py::test_a_trial_takes_its_part_listing_from_the_kind_arrays",)),
     # the construction and its accounting
     Mutant("leftover-only-too-small", "pipeline.py",
            "if s_mask.bit_count() != 3 * k:",
            "if s_mask.bit_count() < 3 * k:",
            ("tests/test_pipeline.py::test_a_leftover_set_of_the_wrong_size_is_refused[pair-dropped]",)),
     Mutant("from-kinds-allows-repeats", "graph.py",
-           "if rest and min(map(int.bit_count, masks)) <= len(rest):",
-           "if rest and min(map(int.bit_count, masks)) < 0:",
+           "if min(map(int.bit_count, masks)) < kind.shape[1]:",
+           "if min(map(int.bit_count, masks)) < 0:",
            ("tests/test_graph_properties.py::test_kind_arrays_are_refused_like_their_parts",)),
     Mutant("unjoined-first-column-only", "pipeline.py",
-           "[near[:, v] for v in c.T]",
-           "[near[:, v] for v in c.T[:1]]",
+           "(or_rows(near.T, c) for c in cols)",
+           "(or_rows(near.T, c[:, :1]) for c in cols)",
            ("tests/test_pipeline.py::test_unjoined_counts_the_part_pairs_the_oracle_leaves_unjoined",)),
+    Mutant("contract-through-the-graph-module", "pipeline.py",
+           "        h = contract(g, decomposition)\n",
+           "        from . import graph\n        h = graph.contract(g, decomposition)\n",
+           ("tests/test_pipeline.py::test_every_traced_trial_call_records_a_span",)),
+    Mutant("accounting-check-removed", "pipeline.py",
+           "if missing != bad_triples + bad_quads:",
+           "if False:",
+           ("tests/test_pipeline.py::test_accounting_catches_a_dropped_minor_edge[pair-pair]",)),
+    Mutant("kind-names-swapped", "pipeline.py",
+           'kinds = ("seagull × clique", "seagull × pair",',
+           'kinds = ("seagull × pair", "seagull × clique",',
+           ("tests/test_pipeline.py::test_a_seagull_part_that_is_not_a_seagull_is_refused",)),
+    Mutant("clique-diagonal-kept", "pipeline.py",
+           "(counts[3] - k) // 2",
+           "counts[3] // 2",
+           ("tests/test_pipeline.py::test_a_seagull_part_that_is_not_a_seagull_is_refused",)),
     Mutant("certify-strict-comparison", "pipeline.py",
            'status = "PASS" if mean <= bound + 3 * sem else "FAIL"',
            'status = "PASS" if mean < bound + 3 * sem else "FAIL"',
            ("tests/test_pipeline.py::test_certify_batch_passes_up_to_three_standard_errors_above_the_bound",)),
+    # the searches behind preparation and the seagull partition
+    Mutant("bulk-draws-ignore-position", "analysis.py",
+           '"state": {"key": key, "pos": pos}}',
+           '"state": {"key": key, "pos": 624}}',
+           ("tests/test_analysis.py::test_bulk_draws_are_randrange_draws[257]",)),
+    Mutant("bulk-draws-keyed-once", "analysis.py",
+           '    mt.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": pos}}\n',
+           '    if not _bulk_randrange.__dict__.get("keyed"):\n'
+           '        _bulk_randrange.keyed = True\n'
+           '        mt.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": pos}}\n',
+           ("tests/test_analysis.py::test_bulk_draws_are_randrange_draws[257]",)),
+    Mutant("clique-room-slice-from-2k", "seagulls.py",
+           "top[2 * k_res + 1 : 3 * k_res]",
+           "top[2 * k_res : 3 * k_res]",
+           ("tests/test_seagulls.py::test_clique_room_is_the_clique_bound_exceeding_twice_the_triples",)),
     # the generators' order check
     Mutant("blowup-order-wraps", "generators.py",
            "order = sum(np.broadcast_to(sizes, len(pattern)).tolist())",

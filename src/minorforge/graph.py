@@ -9,15 +9,15 @@ masks' own size), set when it is built; only this module knows their
 layout.  The bulk steps that would otherwise loop over every edge in Python
 gather the rows they need and unpack only those (unpack_rows), and
 complement_rows gives the complement's rows.  from_adj builds a graph from
-a square bool matrix.  A branch decomposition lists its parts once, by size
-or from its part arrays, and contract and minor_violation share the listing.
+a square bool matrix.  A branch decomposition lists its parts as (parts x
+size) vertex arrays; or_rows ORs a matrix's rows over the parts of such arrays.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -72,37 +72,17 @@ def _packed_masks(rows: np.ndarray) -> list[int]:
     return [from_bytes(raw[i : i + width], "little") for i in range(0, count * width, width)]
 
 
-def _part_listing(parts) -> list[tuple[int, list[int], np.ndarray]]:
-    """(size, part indices, their vertices part after part) for each part
-    size, in order of first appearance; parts are nonempty."""
-    by_size: dict[int, tuple[list[int], list[int]]] = defaultdict(lambda: ([], []))
-    for i, p in enumerate(parts):
-        which, verts = by_size[p.bit_count()]  # a new pair of lists per size only
-        which.append(i)
-        while p:  # bits(p) inlined: a generator per part cost more than this loop
-            low = p & -p
-            verts.append(low.bit_length() - 1)
-            p ^= low
-    return [(s, which, np.array(verts, dtype=np.intp)) for s, (which, verts) in by_size.items()]
+def _part_listing(parts) -> list[np.ndarray]:
+    """The parts as (parts x size) intp vertex arrays, one per maximal run
+    of consecutive parts of one size, in part order; parts are nonempty."""
+    runs = groupby(parts, int.bit_count)
+    return [np.array([v for p in run for v in bits(p)], np.intp).reshape(-1, s) for s, run in runs]
 
 
-def _or_rows_over_parts(mat: np.ndarray, listing, count: int) -> np.ndarray:
-    """count x cols matrix whose row i ORs the rows of mat (one per host
-    vertex, bool or packed) at the vertices of part i; listing is
-    _part_listing's.
-
-    Parts of one size are done together: with their vertices' rows gathered
-    part after part, row slice o::s holds the o-th vertex of every part of
-    size s, so s whole-slice ORs cover them all.
-    """
-    out = np.zeros((count, mat.shape[1]), dtype=mat.dtype)
-    for s, which, verts in listing:
-        rows = mat[verts]
-        acc = rows[0::s]
-        for o in range(1, s):
-            acc |= rows[o::s]
-        out[which] = acc
-    return out
+def or_rows(mat: np.ndarray, *kinds: np.ndarray) -> np.ndarray:
+    """Row i ORs the rows of mat (one per host vertex, bool or packed) at the
+    vertices of part i, row i of the (parts x size) vertex arrays kinds stacked."""
+    return np.concatenate([mat[:0], *(reduce(np.bitwise_or, [mat[c] for c in k.T]) for k in kinds)])
 
 
 class Graph:
@@ -207,6 +187,11 @@ def complement(g: Graph) -> Graph:
     return Graph.from_adj(unpack_rows(complement_rows(g), g.n))
 
 
+def neighbourhoods(g: Graph, *kinds: np.ndarray) -> np.ndarray:
+    """bool matrix whose row i marks g's vertices adjacent to part i, as in or_rows."""
+    return unpack_rows(or_rows(g.rows, *kinds), g.n)
+
+
 def induced_subgraph(g: Graph, subset: int) -> tuple[Graph, tuple[int, ...]]:
     """Induced subgraph on a vertex mask, relabelled to 0..|s|-1.
 
@@ -275,30 +260,31 @@ class BranchDecomposition:
     parts: tuple[int, ...]
 
     @cached_property
-    def _listing(self):
-        """_part_listing(self.parts), built on first use unless from_kinds set
-        it: contract and minor_violation share it."""
+    def _listing(self) -> list[np.ndarray]:
+        """Runs of consecutive parts as (parts x size) intp vertex arrays:
+        from_kinds' own arrays, else _part_listing(self.parts) on first use."""
         return _part_listing(self.parts)
 
     @classmethod
     def from_kinds(cls, host: Graph, *kinds: np.ndarray) -> "BranchDecomposition":
-        """Parts from the rows of (parts x size) intp vertex arrays, listed from the arrays."""
+        """Parts from the rows of (parts x size) intp vertex arrays; the arrays
+        with rows, as passed, are its listing."""
         parts, listing = [], []
         for kind in filter(len, kinds):
-            first, *rest = kind.T.tolist()  # a part's mask ORs its row's bits, column by column
+            # a part's mask ORs its row's bits, column by column; with no columns it is empty
+            masks = [0] * len(kind)
             try:
-                masks = [1 << v for v in first]
-                for col in rest:
+                for col in kind.T.tolist():
                     masks = [m | 1 << v for m, v in zip(masks, col)]
             except ValueError:  # a negative shift: a vertex below 0
                 i = len(parts) + int(np.flatnonzero((kind < 0).any(1))[0])
                 raise InvalidDecomposition(f"part {i} is out of range") from None
             start = len(parts)
             parts += masks
-            if rest and min(map(int.bit_count, masks)) <= len(rest):
-                i = next(i for i, m in enumerate(masks) if m.bit_count() <= len(rest))
+            if min(map(int.bit_count, masks)) < kind.shape[1]:
+                i = next(i for i, m in enumerate(masks) if m.bit_count() < kind.shape[1])
                 raise InvalidDecomposition(f"part {start + i} repeats a vertex")
-            listing.append((len(rest) + 1, list(range(start, len(parts))), kind.ravel()))
+            listing.append(kind)
         d = cls(host=host, parts=tuple(parts))
         vars(d)["_listing"] = listing
         return d
@@ -327,15 +313,13 @@ def contract(g: Graph, d: BranchDecomposition) -> Graph:
         raise InvalidDecomposition("decomposition built for a different host")
     listing = d._listing
     # reach[i]: the vertices adjacent to part i, its neighbour masks ORed
-    # slice by slice as in _or_rows_over_parts
-    reach = [0] * len(d.parts)
-    for s, which, verts in listing:
-        nbrs = [g.adj[v] for v in verts.tolist()]
-        acc = nbrs[0::s]
-        for o in range(1, s):
-            acc = [a | b for a, b in zip(acc, nbrs[o::s])]
-        for i, r in zip(which, acc):
-            reach[i] = r
+    # column by column over each array of the listing
+    reach = []
+    for kind in listing:
+        acc = [0] * len(kind)
+        for col in kind.T.tolist():
+            acc = [a | g.adj[v] for a, v in zip(acc, col)]
+        reach += acc
     i = _first_disconnected(g, d.parts, [(p & r) == p for p, r in zip(d.parts, reach)])
     if i is not None:
         raise InvalidDecomposition(f"part {i} induces a disconnected subgraph")
@@ -343,7 +327,7 @@ def contract(g: Graph, d: BranchDecomposition) -> Graph:
     # transpose holds the parts that reach host vertex v, so ORing those rows
     # over part j's vertices gives column j of h, which is its row j because
     # the host, and so h, is symmetric.
-    h = _or_rows_over_parts(np.ascontiguousarray(bit_matrix(reach, g.n).T), listing, len(d.parts))
+    h = or_rows(np.ascontiguousarray(bit_matrix(reach, g.n).T), *listing)
     np.fill_diagonal(h, False)
     return Graph.from_adj(h)
 
@@ -369,14 +353,15 @@ def minor_violation(g: Graph, h: Graph, d: BranchDecomposition) -> str | None:
     # rows alone (OR over the part's rows); joined[i, j]: some g-edge runs
     # between parts i and j (near's columns, as rows, ORed over part j)
     listing = d._listing
-    near = unpack_rows(_or_rows_over_parts(g.rows, listing, len(d.parts)), g.n)
-    linked = np.empty(len(d.parts), dtype=bool)
-    for s, which, verts in listing:
-        linked[which] = near[np.repeat(which, s), verts].reshape(-1, s).all(axis=1)
-    i = _first_disconnected(g, d.parts, linked.tolist())
+    near = neighbourhoods(g, *listing)
+    linked = []
+    for kind in listing:  # its parts' rows of near, at their own vertices
+        which = np.arange(len(linked), len(linked) + len(kind))[:, None]
+        linked += near[which, kind].all(axis=1).tolist()
+    i = _first_disconnected(g, d.parts, linked)
     if i is not None:
         return f"disconnected_part: {i}"
-    joined = _or_rows_over_parts(np.ascontiguousarray(near.T), listing, len(d.parts))
+    joined = or_rows(np.ascontiguousarray(near.T), *listing)
     bad = unpack_rows(h.rows, h.n) & ~joined
     if not bad.any():
         return None

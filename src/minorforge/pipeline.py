@@ -16,7 +16,6 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import reduce
 from itertools import chain
 from math import comb
 
@@ -26,7 +25,7 @@ from .analysis import clique_stats, find_independent_triple, working_clique
 from .bounds import compute_bound_report
 from .errors import AlphaTooLarge, Ineligible, MinorforgeError, NotCertifiable, SeagullFailure
 from .graph import BranchDecomposition, Graph, bits, contract, induced_subgraph, mask_of
-from .graph import minor_violation, unpack_rows
+from .graph import minor_violation, neighbourhoods, or_rows
 # in_concentration_event and sample_uniform_pairing are unused here, but
 # perfbench traces the sampler by looking both up in this module
 from .pairings import in_concentration_event, sample_conditioned, sample_uniform_pairing
@@ -270,8 +269,8 @@ def _unjoined(g: Graph, rows: np.ndarray, *cols: np.ndarray) -> list[int]:
     """Per column kind, how many (row part, column part) pairs share no host
     edge, each part a row of vertices; a part is joined to itself when it
     spans an edge."""
-    near = unpack_rows(reduce(np.bitwise_or, [g.rows[v] for v in rows.T]), g.n)
-    joined = (reduce(np.bitwise_or, [near[:, v] for v in c.T]) for c in cols)
+    near = neighbourhoods(g, rows)
+    joined = (or_rows(near.T, c) for c in cols)
     return [j.size - int(np.count_nonzero(j)) for j in joined]
 
 

@@ -123,3 +123,27 @@ def test_file_record_bytes_unchanged(capsys, monkeypatch, tmp_path, argv, code, 
     out = capsys.readouterr().out
     assert_strict_json_lines(out)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# The minor and branch-map files of a clamped build, pinned before the branch
+# decomposition listed its parts as kind arrays: the records carry counts
+# only, so these are the bytes that show the decomposition itself.
+WRITTEN_CASES = [
+    ("tfp110.txt",
+     "1cdcaa65c0d22c788495be4e00c9eb053bd9689421aa09d5ba0d0239904beda9",
+     "b1d923f26e006237f6a4d010543b55bf4c3384edcf0c01ae7a15a571b97115a1"),
+    ("tfp200.txt",
+     "f34595ab86c9f197acff8fd420a276efdd829ad0ad234d165a1b06992ed3812e",
+     "c5e9aeb8565118ea689a8b023dcdac0d2bfda67e795362a8a2d65629a054a734"),
+]
+
+
+@pytest.mark.parametrize("graph,h_digest,branches_digest", WRITTEN_CASES,
+                         ids=[c[0] for c in WRITTEN_CASES])
+def test_written_minor_files_unchanged(monkeypatch, tmp_path, graph, h_digest, branches_digest):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", *GRAPHS[graph], "--out", graph]) == 0
+    argv = ["build-minor", graph, "--lambda", "clamped", "--format", "records"]
+    assert main([*argv, "--out-h", "h.txt", "--out-branches", "b.txt"]) == 0
+    digests = [hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in ("h.txt", "b.txt")]
+    assert digests == [h_digest, branches_digest]

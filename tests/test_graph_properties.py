@@ -40,6 +40,7 @@ from minorforge.graph import (
     minor_violation,
     to_text,
     unpack_rows,
+    verify_minor,
 )
 from minorforge.pipeline import PipelineConfig, PreparedPipeline
 from minorforge.rng import trial_rng
@@ -221,6 +222,7 @@ def test_minor_violation_gives_each_reason(reason):
     assert oracle_minor_violation(5, PATH5, h_n, set(h_edges), parts) == expected
     d = unchecked_decomposition(Graph(5, PATH5), parts)
     assert minor_violation(Graph(5, PATH5), Graph(h_n, h_edges), d) == expected
+    assert verify_minor(Graph(5, PATH5), Graph(h_n, h_edges), d) == (expected is None)
 
 
 @pytest.mark.parametrize("kind", DISCONNECTED)
@@ -369,6 +371,13 @@ def test_complement_rows_are_the_packed_complement_masks(order):
         assert complement(complement(g)) == g
 
 
+def assert_lists_the_parts(listing, parts):
+    """Each run is a 2-D intp array of one size, and its rows, read in order
+    run after run, hold exactly the vertices of the parts."""
+    assert all(kind.ndim == 2 and kind.dtype == np.intp for kind in listing)
+    assert [sorted(row) for kind in listing for row in kind.tolist()] == [members(p) for p in parts]
+
+
 @pytest.mark.parametrize("order", BYTE_EDGE_ORDERS)
 def test_cached_part_listing_is_the_listing_of_the_parts(order):
     rnd = random.Random(order)
@@ -379,10 +388,36 @@ def test_cached_part_listing_is_the_listing_of_the_parts(order):
         fresh = BranchDecomposition(host=g, parts=parts)
         listing = d._listing
         assert d._listing is listing
-        expected = _part_listing(parts)
-        assert [(s, which) for s, which, _ in listing] == [(s, which) for s, which, _ in expected]
-        assert all(np.array_equal(a[2], b[2]) for a, b in zip(listing, expected))
+        assert_lists_the_parts(listing, parts)
+        sizes = [kind.shape[1] for kind in listing]
+        assert all(a != b for a, b in zip(sizes, sizes[1:]))  # maximal runs
+        assert [k.tolist() for k in listing] == [k.tolist() for k in _part_listing(parts)]
         assert d == fresh and hash(d) == hash(fresh)  # fresh has no listing yet
+
+
+# a path on 10 vertices cut into parts of sizes 1, 2, 1, 3, 3, the sizes
+# interleaved, so the listing has four runs and only the last holds two parts
+PATH10 = {(v, v + 1) for v in range(9)}
+INTERLEAVED = ([[0]], [[1, 2]], [[3]], [[4, 5, 6], [7, 8, 9]])
+
+
+@pytest.mark.parametrize("cut", [None, (8, 9)], ids=["path", "last-part-cut"])
+def test_part_listing_splits_interleaved_sizes_into_runs(cut):
+    edges = PATH10 - {cut}
+    g = Graph(10, edges)
+    parts = tuple(vertex_mask(row) for kind in INTERLEAVED for row in kind)
+    d = BranchDecomposition(host=g, parts=parts)
+    assert [kind.tolist() for kind in d._listing] == list(INTERLEAVED)
+    assert_lists_the_parts(d._listing, parts)
+    # the same parts from kind arrays, rows in another vertex order
+    kinds = [np.array(kind, dtype=np.intp)[:, ::-1] for kind in INTERLEAVED]
+    from_kinds = BranchDecomposition.from_kinds(g, *kinds)
+    assert from_kinds == d and all(a is b for a, b in zip(from_kinds._listing, kinds, strict=True))
+    path5 = Graph(5, [(i, i + 1) for i in range(4)])
+    for h in (path5, Graph(5, combinations(range(5), 2))):
+        expected = oracle_minor_violation(10, edges, h.n, set(h.edges()), parts)
+        assert minor_violation(g, h, d) == minor_violation(g, h, from_kinds) == expected
+    assert minor_violation(g, path5, d) == (None if cut is None else "disconnected_part: 4")
 
 
 @ORDERS
@@ -390,11 +425,12 @@ def test_cached_part_listing_is_the_listing_of_the_parts(order):
 @given(data=st.data())
 def test_kind_array_listing_is_the_listing_of_the_parts(order, data):
     g, edges, rnd = draw_graph(data, order)
-    # disjoint parts, one kind per size in a drawn order, rows in any vertex
-    # order, and a kind with no parts somewhere among them
+    # disjoint parts, kinds of drawn sizes in a drawn order (a size may come
+    # back, so sizes interleave), rows in any vertex order, and a kind with no
+    # parts somewhere among them
     free = rnd.sample(range(g.n), g.n)
     kinds = []
-    for size in rnd.sample((1, 2, 3, 5), rnd.randint(1, 4)):
+    for size in rnd.choices((1, 2, 3, 5), k=rnd.randint(1, 5)):
         count = rnd.randint(0, len(free) // size)
         kinds.append(np.array(free[: size * count], dtype=np.intp).reshape(count, size))
         del free[: size * count]
@@ -403,11 +439,10 @@ def test_kind_array_listing_is_the_listing_of_the_parts(order, data):
     d = BranchDecomposition.from_kinds(g, *kinds)
     fresh = BranchDecomposition(host=g, parts=parts)
     assert d == fresh
-    listing, expected = d._listing, _part_listing(parts)
-    assert [(s, which) for s, which, _ in listing] == [(s, which) for s, which, _ in expected]
-    for (s, _, verts), (_, _, want) in zip(listing, expected):
-        assert verts.dtype == np.intp
-        assert np.sort(verts.reshape(-1, s)).tolist() == want.reshape(-1, s).tolist()
+    listing = d._listing
+    assert d._listing is listing
+    assert all(a is b for a, b in zip(listing, [k for k in kinds if len(k)], strict=True))
+    assert_lists_the_parts(listing, parts)
     full = Graph(len(parts), combinations(range(len(parts)), 2))
     assert minor_violation(g, full, d) == minor_violation(g, full, fresh)
 
@@ -420,6 +455,7 @@ def test_kind_arrays_are_refused_like_their_parts():
         ([[1, 2], [3, 5]], "part 3 overlaps an earlier part"),
         ([[1, 2], [3, 6]], "part 3 is out of range"),
         ([[1, 2], [3, -1]], "part 3 is out of range"),
+        ([[], []], "part 2 is empty"),  # a kind with no columns
     ):
         with pytest.raises(InvalidDecomposition) as exc:
             BranchDecomposition.from_kinds(g, singles, np.array(pairs, dtype=np.intp))
