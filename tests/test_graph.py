@@ -19,6 +19,7 @@ from minorforge.graph import (
     induced_subgraph,
     is_connected_subset,
     mask_of,
+    minor_violation,
     text_lines,
     to_text,
     verify_minor,
@@ -126,6 +127,19 @@ def test_verify_minor_k4_k3():
     g = k_n(4)
     d = BranchDecomposition(host=g, parts=(mask_of([0, 1]), 1 << 2, 1 << 3))
     assert verify_minor(g, k_n(3), d)
+
+
+def test_verify_minor_missing_cross_edge():
+    g = Graph(4, [(0, 1), (1, 2)])  # path; vertices 2,3 not adjacent
+    d = BranchDecomposition(host=g, parts=(1 << 0, 1 << 2, 1 << 3))
+    assert not verify_minor(g, k_n(3), d)
+    assert "missing_cross_edge" in minor_violation(g, k_n(3), d)
+
+
+def test_verify_minor_part_count_reason():
+    g = k_n(4)
+    d = BranchDecomposition(host=g, parts=(1 << 0, 1 << 1))
+    assert minor_violation(g, k_n(3), d).startswith("part_count")
 
 
 def test_contract_then_verify_roundtrip():
